@@ -7,11 +7,6 @@
 //!   pluggable replacement, used for L1s, private L2s, the shared NUCA
 //!   SRAM/eDRAM LLCs, and (with one way) the direct-mapped TAD-organized
 //!   DRAM cache vaults of SILO.
-//! * [`PageCache`] — the page-based conventional DRAM cache of the
-//!   `Baseline+DRAM$` system.
-//! * [`MissMap`] — a page-granular presence map used as the local-vault
-//!   miss predictor (Sec. V-C); exact, so it models the paper's ideal
-//!   predictor, and a bounded variant models a realistic one.
 //!
 //! Caches here are *functional*: they track contents and produce
 //! hit/miss/eviction outcomes. All timing lives in `silo-sim`.
@@ -22,10 +17,6 @@
 // and is compiled out under Miri.
 #![deny(unsafe_code)]
 
-pub mod missmap;
-pub mod page;
 pub mod set_assoc;
 
-pub use missmap::MissMap;
-pub use page::PageCache;
 pub use set_assoc::{EvictionVictim, ReplacementPolicy, SetAssocCache};

@@ -18,7 +18,7 @@ use crate::node::{Node, NodeSpec, SramHit};
 use crate::state::State;
 use crate::stats::CoherenceStats;
 use crate::step::{AccessResult, Background, ServedBy, Step};
-use crate::{EngineProbe, EP_DIR, EP_FILL, EP_L1, EP_WB};
+use crate::{EP_DIR, EP_FILL, EP_L1, EP_WB};
 use silo_cache::{ReplacementPolicy, SetAssocCache};
 use silo_obs::{Lap, NoProbe};
 use silo_types::{ByteSize, LineAddr, MemRef};
@@ -132,21 +132,10 @@ impl PrivateMoesi {
         self.o_state_forwarding
     }
 
-    /// Vault hit/miss counters of one core.
-    pub fn vault_stats(&self, core: usize) -> (u64, u64) {
-        (self.vaults[core].hits(), self.vaults[core].misses())
-    }
-
     /// True when `core`'s SRAM hierarchy (L1-I, L1-D, or L2) holds the
     /// line. Read-only introspection for the model checker.
     pub fn sram_contains(&self, core: usize, line: LineAddr) -> bool {
         self.nodes[core].contains(line)
-    }
-
-    /// The coherence state of `line` in `core`'s vault (I when absent).
-    /// Read-only: no hit/miss accounting.
-    pub fn vault_state(&self, core: usize, line: LineAddr) -> State {
-        self.vaults[core].peek(line).copied().unwrap_or(State::I)
     }
 
     /// Total lines resident across all vaults. Under vault/directory
@@ -177,32 +166,20 @@ impl PrivateMoesi {
     ///
     /// Panics if `core` is out of range.
     pub fn access_into(&mut self, core: usize, mr: MemRef, r: &mut AccessResult) {
-        self.access_impl(core, mr, r, &mut NoProbe);
+        self.access_into_probed(core, mr, r, &mut NoProbe);
     }
 
-    /// [`PrivateMoesi::access_into`] with sub-phase wall-clock
-    /// attribution: every segment of the access is lapped into one of
-    /// the [`crate::ENGINE_SUBPHASES`] buckets of `probe`, tiling the
-    /// call exactly. Simulated results are bit-identical to the
-    /// unprobed path (one shared body, generic over the probe).
+    /// [`PrivateMoesi::access_into`] with sub-phase wall-clock attribution:
+    /// every segment of the access is lapped into one of the
+    /// [`crate::ENGINE_SUBPHASES`] buckets of `probe`, tiling the call
+    /// exactly. This is the one access body: with [`NoProbe`] every lap
+    /// compiles out, which is how [`PrivateMoesi::access_into`] shares it, so
+    /// simulated results are the same for every probe.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn access_into_probed(
-        &mut self,
-        core: usize,
-        mr: MemRef,
-        r: &mut AccessResult,
-        probe: &mut EngineProbe,
-    ) {
-        self.access_impl(core, mr, r, probe);
-    }
-
-    /// The one access body both entry points monomorphize: [`NoProbe`]
-    /// compiles every lap out, a real [`EngineProbe`] attributes each
-    /// segment as it closes.
-    fn access_impl<P: Lap>(
+    pub fn access_into_probed<P: Lap>(
         &mut self,
         core: usize,
         mr: MemRef,

@@ -185,11 +185,6 @@ impl Node {
         (self.l1d.hits(), self.l1d.misses())
     }
 
-    /// L1-I hit/miss counters.
-    pub fn l1i_stats(&self) -> (u64, u64) {
-        (self.l1i.hits(), self.l1i.misses())
-    }
-
     /// Resets hit/miss statistics on all levels, keeping contents.
     pub fn reset_stats(&mut self) {
         self.l1i.reset_stats();

@@ -20,11 +20,8 @@
 use crate::config::{SystemConfig, VaultDesign};
 use crate::error::ConfigError;
 use crate::json::Json;
-use crate::registry::{
-    run_system_on_source_checked, run_system_on_source_metered, run_system_on_source_profiled,
-    SystemSpec,
-};
-use crate::run::{RunStats, PROFILE_PHASES};
+use crate::registry::{run_system, SystemSpec};
+use crate::run::{RunMode, RunOptions, RunStats, PROFILE_PHASES};
 use crate::workload::{SyntheticTrace, WorkloadSpec};
 use silo_coherence::ServedBy;
 use silo_obs::PhaseProfile;
@@ -71,22 +68,13 @@ pub struct SweepSpec {
     /// Telemetry meter applied to every run: warmup window and epoch
     /// sampling (disabled by default).
     pub meter: MeterConfig,
-    /// Run-time invariant oracle period: `Some(n)` replays the engine
-    /// and cross-layer invariants every `n` processed references of
-    /// every run (`--check`). `None` (the default) compiles the checks
-    /// out of the hot loop entirely. Deliberately *not* part of
-    /// [`MeterConfig`]: the meter is echoed into the `silo-bench/v1`
-    /// document, and checked runs must stay byte-identical to unchecked
-    /// ones.
-    pub check_every: Option<u64>,
-    /// Hot-loop self-profiler (`--profile`): samples per-phase
-    /// wall-clock for every run and attaches a
-    /// [`PhaseProfile`] to each [`SystemRun`]. Like `check_every`,
-    /// deliberately *not* part of [`MeterConfig`] — profiled runs must
-    /// keep the `silo-bench/v1` document byte-identical to unprofiled
-    /// ones. Mutually exclusive with `check_every` (the builder rejects
-    /// the combination).
-    pub profile: bool,
+    /// How every run drives the loop: plain, with the run-time
+    /// invariant oracle (`--check N`), or with the hot-loop self-profiler
+    /// (`--profile`, which attaches a [`PhaseProfile`] to each
+    /// [`SystemRun`]). Deliberately *not* part of [`MeterConfig`]: the
+    /// meter is echoed into the `silo-bench/v1` document, and checked or
+    /// profiled runs must stay byte-identical to plain ones.
+    pub mode: RunMode,
 }
 
 impl SweepSpec {
@@ -151,7 +139,7 @@ pub struct SystemRun {
     /// epoch timeline (empty under a disabled meter).
     pub telemetry: Telemetry,
     /// Per-phase wall-clock of the hot loop, present only under
-    /// [`SweepSpec::profile`]. Host-dependent, so never rendered into
+    /// [`RunMode::Profiled`]. Host-dependent, so never rendered into
     /// the `silo-bench/v1` document.
     pub profile: Option<PhaseProfile>,
 }
@@ -208,7 +196,7 @@ impl BenchRecord {
 ///
 /// Panics if the point resolves to an invalid config or a replay file
 /// vanished since validation (the builder API checks both up front), or
-/// — under [`SweepSpec::check_every`] — when the invariant oracle
+/// — under [`RunMode::Checked`] — when the invariant oracle
 /// detects a violation. An oracle panic is a simulator bug, never a
 /// workload problem; the message names the system, workload, and
 /// reference count at detection.
@@ -224,46 +212,22 @@ pub fn run_point(spec: &SweepSpec, point: &SweepPoint) -> BenchRecord {
                 .source(cfg.cores, cfg.scale, spec.seed)
                 .expect("workload sources validated at build time");
             let t = Instant::now();
-            let (stats, telemetry, profile) = if spec.profile {
-                let (stats, telemetry, profile) = run_system_on_source_profiled(
-                    sys,
-                    &cfg,
-                    &point.workload.name,
-                    &mut *source,
-                    &spec.meter,
-                );
-                (stats, telemetry, Some(profile))
-            } else {
-                let (stats, telemetry) = match spec.check_every {
-                    None => run_system_on_source_metered(
-                        sys,
-                        &cfg,
-                        &point.workload.name,
-                        &mut *source,
-                        &spec.meter,
-                    ),
-                    Some(every) => run_system_on_source_checked(
-                        sys,
-                        &cfg,
-                        &point.workload.name,
-                        &mut *source,
-                        &spec.meter,
-                        every,
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "--check detected a simulator bug on workload '{}': {e}",
-                            point.workload.name
-                        )
-                    }),
-                };
-                (stats, telemetry, None)
+            let opts = RunOptions {
+                meter: spec.meter,
+                mode: spec.mode,
             };
+            let out = run_system(sys, &cfg, &point.workload.name, &mut *source, &opts)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "--check detected a simulator bug on workload '{}': {e}",
+                        point.workload.name
+                    )
+                });
             SystemRun {
-                stats,
+                stats: out.stats,
                 wall_ms: t.elapsed().as_secs_f64() * 1e3,
-                telemetry,
-                profile,
+                telemetry: out.telemetry,
+                profile: out.profile,
             }
         })
         .collect();
@@ -371,29 +335,35 @@ pub fn run_sweep_sequential(spec: &SweepSpec) -> Vec<BenchRecord> {
     spec.points().iter().map(|p| run_point(spec, p)).collect()
 }
 
-/// Fans the points out across up to `threads` OS threads (work-stealing
-/// off a shared index) and returns the records in point order. Simulated
-/// results are bit-identical to [`run_sweep_sequential`]; only the
-/// wall-clock fields depend on the host.
+/// Fans the points out across up to `threads` OS threads and returns
+/// the records in point order. Simulated results are bit-identical to
+/// [`run_sweep_sequential`]; only the wall-clock fields depend on the
+/// host.
 pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Vec<BenchRecord> {
-    let points = spec.points();
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let workers = threads.clamp(1, points.len());
+    par_map(&spec.points(), threads, |p| run_point(spec, p))
+}
+
+/// Maps `f` over `items` on up to `threads` OS threads (work-stealing
+/// off a shared index) and returns the results in item order, exactly
+/// as a sequential map would.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = threads.clamp(1, items.len().max(1));
     if workers == 1 {
-        return run_sweep_sequential(spec);
+        return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<BenchRecord>>> =
-        (0..points.len()).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(point) = points.get(i) else { break };
-                let record = run_point(spec, point);
-                *slots[i].lock().expect("result slot poisoned") = Some(record);
+                let Some(item) = items.get(i) else { break };
+                let result = f(item);
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
@@ -402,7 +372,7 @@ pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Vec<BenchRecord> {
         .map(|slot| {
             slot.into_inner()
                 .expect("result slot poisoned")
-                .expect("every point filled its slot")
+                .expect("every item filled its slot")
         })
         .collect()
 }
@@ -686,8 +656,7 @@ mod tests {
             }],
             seed: 5,
             meter: MeterConfig::default(),
-            check_every: None,
-            profile: false,
+            mode: RunMode::Plain,
         }
     }
 
@@ -695,7 +664,7 @@ mod tests {
     fn profiled_sweep_matches_unprofiled_and_renders_profile_json() {
         let spec = tiny_spec();
         let profiled = SweepSpec {
-            profile: true,
+            mode: RunMode::Profiled,
             ..spec.clone()
         };
         let plain = run_sweep_sequential(&spec);

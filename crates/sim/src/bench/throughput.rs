@@ -21,15 +21,13 @@
 //! (the simulated stats) is deterministic, and row *order* is fixed by
 //! the matrix regardless of the worker-thread count.
 
-use crate::bench::SCHEMA_HOTLOOP;
+use crate::bench::{par_map, SCHEMA_HOTLOOP};
 use crate::config::SystemConfig;
 use crate::error::ConfigError;
 use crate::json::Json;
-use crate::registry::{run_system_on_source_metered, SystemRegistry, SystemSpec};
+use crate::registry::{run_system, SystemRegistry, SystemSpec};
+use crate::run::RunOptions;
 use crate::workload::WorkloadSpec;
-use silo_telemetry::MeterConfig;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The benchmark matrix: systems × workloads at one (cores, refs, seed)
@@ -125,8 +123,9 @@ pub fn run_throughput(spec: &ThroughputSpec, threads: usize) -> Vec<ThroughputRo
             .source(cfg.cores, cfg.scale, spec.seed)
             .expect("builtin workloads always yield a source");
         let t = Instant::now();
-        let (stats, _) =
-            run_system_on_source_metered(sys, &cfg, &w.name, &mut *source, &MeterConfig::default());
+        let stats = run_system(sys, &cfg, &w.name, &mut *source, &RunOptions::default())
+            .expect("plain runs cannot fail")
+            .stats;
         ThroughputRow {
             system: stats.system,
             workload: stats.workload,
@@ -134,30 +133,7 @@ pub fn run_throughput(spec: &ThroughputSpec, threads: usize) -> Vec<ThroughputRo
             wall_ms: t.elapsed().as_secs_f64() * 1e3,
         }
     };
-    let workers = threads.clamp(1, cells.len());
-    if workers == 1 {
-        return cells.iter().map(run_cell).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ThroughputRow>>> =
-        (0..cells.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                *slots[i].lock().expect("row slot poisoned") = Some(run_cell(cell));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("row slot poisoned")
-                .expect("every cell filled its slot")
-        })
-        .collect()
+    par_map(&cells, threads, run_cell)
 }
 
 /// Geometric mean of the rows' refs/sec (0.0 for an empty matrix).

@@ -12,9 +12,11 @@ use crate::bench::{self, BenchRecord, SweepSpec};
 use crate::config::{SystemConfig, VaultDesign};
 use crate::error::ConfigError;
 use crate::registry::{SystemRegistry, SystemSpec};
+use crate::run::RunMode;
 use crate::scenario::Scenario;
 use crate::workload::WorkloadSpec;
 use silo_telemetry::MeterConfig;
+use std::num::NonZeroU64;
 
 /// A fully validated, runnable comparison: N systems × workloads ×
 /// sweep axes. Construct through [`Simulation::builder`].
@@ -365,6 +367,11 @@ impl SimulationBuilder {
                     .into(),
             });
         }
+        let mode = match self.check.and_then(NonZeroU64::new) {
+            Some(every) => RunMode::Checked(every),
+            None if self.profile => RunMode::Profiled,
+            None => RunMode::Plain,
+        };
         // Reject runs whose measurement window is provably empty — a
         // warmup window that swallows every reference — instead of
         // reporting undefined IPC and speedups. Trace workloads were
@@ -402,8 +409,7 @@ impl SimulationBuilder {
                     warmup_refs: self.warmup.unwrap_or(0),
                     epoch_refs: self.epoch,
                 },
-                check_every: self.check,
-                profile: self.profile,
+                mode,
             },
             threads: self.threads,
         })
@@ -705,8 +711,9 @@ mod tests {
     #[test]
     fn profile_reaches_the_spec_and_rejects_combining_with_check() {
         let sim = Simulation::builder().profile(true).build().expect("valid");
-        assert!(sim.spec().profile);
-        assert!(!Simulation::builder().build().expect("valid").spec().profile);
+        assert_eq!(sim.spec().mode, RunMode::Profiled);
+        let plain = Simulation::builder().build().expect("valid");
+        assert_eq!(plain.spec().mode, RunMode::Plain);
 
         let bad = Simulation::builder()
             .profile(true)
@@ -724,7 +731,7 @@ mod tests {
             .scenario(&scenario)
             .build()
             .expect("valid");
-        assert!(sim.spec().profile);
+        assert_eq!(sim.spec().mode, RunMode::Profiled);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The public API is scenario-first:
 //!
 //! * [`registry`] — a [`SystemRegistry`] of named [`SystemSpec`]
-//!   factories producing `Box<dyn Protocol>` engines: the paper's
+//!   factories producing [`AnyEngine`] engines: the paper's
 //!   SILO/baseline pair plus sensitivity variants (`silo-no-forward`,
 //!   `baseline-2x`), extensible at runtime.
 //! * [`builder`] — [`Simulation::builder`] composes configs, systems,
@@ -20,6 +20,14 @@
 //!   [`ConfigError`]s instead of panicking.
 //! * [`scenario`] — a dependency-free `key = value` scenario-file
 //!   format describing a whole comparison, loaded via `--scenario`.
+//!
+//! Every simulation goes through one loop with one entry point:
+//! [`run()`] drives a [`Protocol`] engine and its [`TimingModel`] over a
+//! [`TraceSource`], and [`run_system`] does the same for a registered
+//! [`SystemSpec`]. A [`RunOptions`] carries the telemetry
+//! [`MeterConfig`] and a [`RunMode`] — plain, checked by the run-time
+//! invariant oracle, or profiled — and every mode returns bit-identical
+//! statistics and telemetry in a [`RunOutput`].
 //!
 //! The [`mod@bench`] module fans sweeps over (workload × cores × scale ×
 //! mlp × vault design) out across OS threads and emits machine-readable
@@ -65,6 +73,38 @@
 //! }
 //! # Ok::<(), ConfigError>(())
 //! ```
+//!
+//! One system over one workload, with a warmup window, epoch sampling,
+//! and the invariant oracle sweeping every 100 references:
+//!
+//! ```
+//! use silo_sim::{
+//!     run_system, ConfigError, MeterConfig, RunMode, RunOptions, SystemConfig, SystemRegistry,
+//!     WorkloadSpec,
+//! };
+//! use std::num::NonZeroU64;
+//!
+//! let cfg = SystemConfig::paper_16core().with_cores(4);
+//! let spec = WorkloadSpec {
+//!     refs_per_core: 500,
+//!     ..WorkloadSpec::zipf_shared()
+//! };
+//! let silo = SystemRegistry::builtin().get("SILO").expect("builtin").clone();
+//! let opts = RunOptions {
+//!     meter: MeterConfig {
+//!         warmup_refs: 200,
+//!         epoch_refs: Some(500),
+//!     },
+//!     mode: RunMode::Checked(NonZeroU64::new(100).expect("nonzero")),
+//! };
+//! let mut source = spec.source(cfg.cores, cfg.scale, 7)?;
+//! let out = run_system(&silo, &cfg, &spec.name, &mut *source, &opts)
+//!     .expect("invariants hold");
+//! assert_eq!(out.stats.system, "SILO");
+//! assert_eq!(out.telemetry.timeline.rows().len(), 4); // 2000 refs / 500
+//! assert!(out.profile.is_none()); // only RunMode::Profiled carries one
+//! # Ok::<(), ConfigError>(())
+//! ```
 
 #![forbid(unsafe_code)]
 
@@ -90,15 +130,10 @@ pub use builder::{Simulation, SimulationBuilder};
 pub use config::{SystemConfig, VaultDesign};
 pub use error::ConfigError;
 pub use json::Json;
-pub use registry::{
-    run_system, run_system_on_source_checked, run_system_on_source_metered,
-    run_system_on_source_profiled, run_system_on_traces, run_system_on_traces_metered,
-    SystemInstance, SystemRegistry, SystemSpec,
-};
+pub use registry::{run_system, SystemInstance, SystemRegistry, SystemSpec};
 pub use report::{name_widths, print_report, render_report, render_row};
 pub use run::{
-    run, run_baseline, run_metered, run_metered_source, run_metered_source_checked,
-    run_metered_source_profiled, run_silo, run_source, AnyEngine, Protocol, RunStats, ServedCounts,
+    run, AnyEngine, Protocol, RunMode, RunOptions, RunOutput, RunStats, ServedCounts,
     PROFILE_PHASES,
 };
 pub use scenario::Scenario;

@@ -18,15 +18,9 @@
 //! * `baseline-2x` — the baseline with doubled aggregate LLC capacity.
 
 use crate::config::SystemConfig;
-use crate::run::{
-    baseline_engine, run_metered_source, run_metered_source_checked, run_metered_source_profiled,
-    silo_engine, AnyEngine, RunStats,
-};
+use crate::run::{baseline_engine, run, silo_engine, AnyEngine, RunOptions, RunOutput};
 use crate::timing::TimingModel;
-use crate::workload::WorkloadSpec;
-use silo_obs::PhaseProfile;
-use silo_telemetry::{MeterConfig, Telemetry};
-use silo_trace::{SliceTrace, TraceSource};
+use silo_trace::TraceSource;
 use silo_types::ByteSize;
 use std::fmt;
 use std::sync::Arc;
@@ -186,147 +180,43 @@ impl Default for SystemRegistry {
     }
 }
 
-/// Instantiates `sys` for `cfg` and runs it over `workload`: the dyn
-/// counterpart of [`crate::run_silo`] / [`crate::run_baseline`],
-/// bit-identical to them for the built-in `SILO` / `baseline` entries.
-/// The result's `system` field is the registry name, regardless of what
-/// the underlying engine calls itself — so variants like
+/// Instantiates `sys` for `cfg` and drives it over `source` with
+/// [`run`]. The result's `system` field is the registry name, regardless
+/// of what the underlying engine calls itself — so variants like
 /// `silo-no-forward` and user-registered systems label their rows
-/// correctly.
-/// References stream from [`WorkloadSpec::source`] (lazy generation or
-/// file replay), so nothing is materialized.
-///
-/// # Panics
-///
-/// Panics when a `trace:file=` workload's file cannot be opened; use
-/// the builder API for fallible resolution.
-pub fn run_system(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload: &WorkloadSpec,
-    seed: u64,
-) -> RunStats {
-    let mut source = workload
-        .source(cfg.cores, cfg.scale, seed)
-        .expect("workload source");
-    run_system_on_source_metered(
-        sys,
-        cfg,
-        &workload.name,
-        &mut *source,
-        &MeterConfig::default(),
-    )
-    .0
-}
-
-/// Like [`run_system`], but over pre-generated traces. Traces must come
-/// from `WorkloadSpec::generate` with the same `cfg.cores` /
-/// `cfg.scale` for results to be comparable.
-pub fn run_system_on_traces(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    traces: &[Vec<silo_types::MemRef>],
-) -> RunStats {
-    run_system_on_traces_metered(sys, cfg, workload_name, traces, &MeterConfig::default()).0
-}
-
-/// [`run_system_on_traces`] with the telemetry meter attached. With the
-/// default meter the stats are bit-identical to the unmetered path.
-pub fn run_system_on_traces_metered(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    traces: &[Vec<silo_types::MemRef>],
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry) {
-    run_system_on_source_metered(sys, cfg, workload_name, &mut SliceTrace::new(traces), meter)
-}
-
-/// The streaming sweep-harness entry point behind `--warmup` /
-/// `--epoch`: instantiates `sys` and drives it over `source`.
-/// Bit-identical to the slice-based paths for the same reference
-/// stream.
-pub fn run_system_on_source_metered(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry) {
-    let mut inst = sys.instantiate(cfg);
-    let (mut stats, telemetry) = run_metered_source(
-        &mut inst.engine,
-        &mut inst.timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-    );
-    stats.system = sys.name().to_string();
-    (stats, telemetry)
-}
-
-/// [`run_system_on_source_metered`] with the run-time invariant oracle
-/// enabled: every `check_every` references the engine's structural
-/// invariants and the loop's cross-layer assertions are replayed (see
-/// [`crate::run_metered_source_checked`]). Clean runs return results
-/// bit-identical to the unchecked path.
+/// correctly. For the built-in `SILO` / `baseline` entries the results
+/// are bit-identical to calling [`run`] on the concrete engine.
 ///
 /// # Errors
 ///
-/// Returns the first invariant violation, naming the system and the
-/// reference count at detection. A violation indicates a simulator bug.
-pub fn run_system_on_source_checked(
+/// Only under [`crate::run::RunMode::Checked`]: the first invariant
+/// violation, naming the system and the reference count at detection.
+/// A violation indicates a simulator bug.
+pub fn run_system(
     sys: &SystemSpec,
     cfg: &SystemConfig,
     workload_name: &str,
     source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-    check_every: u64,
-) -> Result<(RunStats, Telemetry), String> {
+    opts: &RunOptions,
+) -> Result<RunOutput, String> {
     let mut inst = sys.instantiate(cfg);
-    let (mut stats, telemetry) = run_metered_source_checked(
+    let mut out = run(
         &mut inst.engine,
         &mut inst.timing,
         cfg,
         workload_name,
         source,
-        meter,
-        check_every,
+        opts,
     )
     .map_err(|e| format!("{}: invariant violation {e}", sys.name()))?;
-    stats.system = sys.name().to_string();
-    Ok((stats, telemetry))
-}
-
-/// [`run_system_on_source_metered`] with the hot-loop self-profiler
-/// enabled (see [`crate::run_metered_source_profiled`]): the returned
-/// statistics and telemetry are bit-identical to the unprofiled path,
-/// plus a [`PhaseProfile`] of per-phase wall-clock samples.
-pub fn run_system_on_source_profiled(
-    sys: &SystemSpec,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry, PhaseProfile) {
-    let mut inst = sys.instantiate(cfg);
-    let (mut stats, telemetry, profile) = run_metered_source_profiled(
-        &mut inst.engine,
-        &mut inst.timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-    );
-    stats.system = sys.name().to_string();
-    (stats, telemetry, profile)
+    out.stats.system = sys.name().to_string();
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkloadSpec;
 
     #[test]
     fn builtin_registry_has_at_least_four_described_systems() {
@@ -373,7 +263,16 @@ mod tests {
         };
         let r = SystemRegistry::builtin();
         for name in ["SILO", "baseline", "silo-no-forward", "baseline-2x"] {
-            let stats = run_system(r.get(name).expect("builtin"), &cfg, &w, 1);
+            let mut source = w.source(cfg.cores, cfg.scale, 1).expect("source");
+            let stats = run_system(
+                r.get(name).expect("builtin"),
+                &cfg,
+                &w.name,
+                &mut *source,
+                &RunOptions::default(),
+            )
+            .expect("plain runs cannot fail")
+            .stats;
             assert_eq!(stats.system, name);
             assert!(stats.instructions > 0);
         }

@@ -7,32 +7,38 @@
 //! MSHR limit unless the reference is `dependent` on the previous miss
 //! (pointer chasing), which serialises.
 //!
-//! The loop is *streaming*: it pulls references one at a time from a
-//! [`TraceSource`] — a lazy synthetic generator, a `.silotrace` file
-//! reader, or an in-memory slice — so trace length is bounded by disk,
-//! not RAM. [`run`] / [`run_metered`] remain the slice-based
-//! conveniences; [`run_source`] / [`run_metered_source`] are the
-//! streaming entry points, bit-identical for the same reference stream.
+//! There is one entry point, [`run`], configured by [`RunOptions`]:
 //!
-//! [`run_metered_source`] additionally drives the telemetry subsystem:
-//! a [`MeterConfig`] warmup window resets the measurement aggregates
-//! mid-run (cache, directory, and bank-timing state are preserved) and
-//! an epoch [`silo_telemetry::Timeline`] samples IPC,
-//! served-by-level counts, LLC latency percentiles, mesh link
-//! utilization, and vault occupancy every `epoch_refs` references.
+//! * the loop is *streaming*: it pulls references one at a time from a
+//!   [`TraceSource`] — a lazy synthetic generator, a `.silotrace` file
+//!   reader, or an in-memory [`silo_trace::SliceTrace`] — so trace
+//!   length is bounded by disk, not RAM;
+//! * [`RunOptions::meter`] drives the telemetry subsystem: a
+//!   [`MeterConfig`] warmup window resets the measurement aggregates
+//!   mid-run (cache, directory, and bank-timing state are preserved) and
+//!   an epoch [`silo_telemetry::Timeline`] samples IPC, served-by-level
+//!   counts, LLC latency percentiles, mesh link utilization, and vault
+//!   occupancy every `epoch_refs` references;
+//! * [`RunOptions::mode`] selects the plain loop, the run-time invariant
+//!   oracle ([`RunMode::Checked`]) or the hot-loop self-profiler
+//!   ([`RunMode::Profiled`]), all bit-identical in their results.
+//!
+//! [`crate::registry::run_system`] is the same call for a registered
+//! [`crate::SystemSpec`]: it instantiates the system and labels the row
+//! with the registry name.
 
 use crate::config::SystemConfig;
 use crate::timing::{TimingModel, TimingProbe, TIMING_SUBPHASES, TP_MSHR};
-use crate::workload::WorkloadSpec;
 use silo_coherence::{
     AccessResult, CoherenceStats, EngineProbe, PrivateMoesi, PrivateMoesiConfig, ServedBy,
     SharedMesi, SharedMesiConfig, ENGINE_SUBPHASES, EP_DIR,
 };
 use silo_obs::{Lap, PhaseProfile};
 use silo_telemetry::{EpochEnv, MeterConfig, Recorder, ServiceLevel, Telemetry, Timeline};
-use silo_trace::{SliceTrace, TraceSource};
+use silo_trace::TraceSource;
 use silo_types::stats::{ratio, Counter, Histogram};
 use silo_types::{Cycles, MemRef};
+use std::num::NonZeroU64;
 use std::time::Instant;
 
 /// A protocol engine the simulation loop can drive. Object-safe, so the
@@ -164,7 +170,7 @@ impl Protocol for SharedMesi {
 
 /// The engine holder the registry instantiates: built-in systems get
 /// concrete variants, so driving one through
-/// [`run_metered_source`]`::<AnyEngine>` turns the per-reference
+/// [`run`]`::<AnyEngine>` turns the per-reference
 /// `access` call into a direct (inlinable) match arm instead of a
 /// vtable dispatch. User-registered engines keep the boxed fallback —
 /// one match + one virtual call, no slower than the old all-dyn path.
@@ -177,22 +183,26 @@ pub enum AnyEngine {
     Custom(Box<dyn Protocol>),
 }
 
+/// Forwards one [`Protocol`] call to the engine an [`AnyEngine`] holds:
+/// a direct call for the built-in variants, a virtual one for `Custom`.
+macro_rules! dispatch {
+    ($self:expr, $e:ident => $call:expr) => {
+        match $self {
+            AnyEngine::Silo($e) => $call,
+            AnyEngine::Baseline($e) => $call,
+            AnyEngine::Custom($e) => $call,
+        }
+    };
+}
+
 impl Protocol for AnyEngine {
     #[inline]
     fn access(&mut self, core: usize, mr: MemRef) -> AccessResult {
-        match self {
-            AnyEngine::Silo(e) => PrivateMoesi::access(e, core, mr),
-            AnyEngine::Baseline(e) => SharedMesi::access(e, core, mr),
-            AnyEngine::Custom(e) => e.access(core, mr),
-        }
+        dispatch!(self, e => e.access(core, mr))
     }
     #[inline]
     fn access_into(&mut self, core: usize, mr: MemRef, out: &mut AccessResult) {
-        match self {
-            AnyEngine::Silo(e) => PrivateMoesi::access_into(e, core, mr, out),
-            AnyEngine::Baseline(e) => SharedMesi::access_into(e, core, mr, out),
-            AnyEngine::Custom(e) => e.access_into(core, mr, out),
-        }
+        dispatch!(self, e => e.access_into(core, mr, out));
     }
     #[inline]
     fn access_into_probed(
@@ -202,47 +212,23 @@ impl Protocol for AnyEngine {
         out: &mut AccessResult,
         probe: &mut EngineProbe,
     ) {
-        match self {
-            AnyEngine::Silo(e) => PrivateMoesi::access_into_probed(e, core, mr, out, probe),
-            AnyEngine::Baseline(e) => SharedMesi::access_into_probed(e, core, mr, out, probe),
-            AnyEngine::Custom(e) => e.access_into_probed(core, mr, out, probe),
-        }
+        dispatch!(self, e => e.access_into_probed(core, mr, out, probe));
     }
     #[inline]
     fn prefetch(&self, core: usize, mr: MemRef) {
-        match self {
-            AnyEngine::Silo(e) => e.prefetch_hint(core, mr.line),
-            AnyEngine::Baseline(e) => e.prefetch_hint(mr.line),
-            AnyEngine::Custom(e) => e.prefetch(core, mr),
-        }
+        dispatch!(self, e => e.prefetch(core, mr));
     }
     fn system_name(&self) -> &str {
-        match self {
-            AnyEngine::Silo(e) => e.system_name(),
-            AnyEngine::Baseline(e) => e.system_name(),
-            AnyEngine::Custom(e) => e.system_name(),
-        }
+        dispatch!(self, e => e.system_name())
     }
     fn coherence_stats(&self) -> CoherenceStats {
-        match self {
-            AnyEngine::Silo(e) => e.coherence_stats(),
-            AnyEngine::Baseline(e) => e.coherence_stats(),
-            AnyEngine::Custom(e) => e.coherence_stats(),
-        }
+        dispatch!(self, e => e.coherence_stats())
     }
     fn reset_coherence_stats(&mut self) {
-        match self {
-            AnyEngine::Silo(e) => e.reset_coherence_stats(),
-            AnyEngine::Baseline(e) => e.reset_coherence_stats(),
-            AnyEngine::Custom(e) => e.reset_coherence_stats(),
-        }
+        dispatch!(self, e => e.reset_coherence_stats());
     }
     fn check_invariants(&self) -> Result<(), String> {
-        match self {
-            AnyEngine::Silo(e) => e.check(),
-            AnyEngine::Baseline(e) => e.check(),
-            AnyEngine::Custom(e) => e.check_invariants(),
-        }
+        dispatch!(self, e => e.check_invariants())
     }
 }
 
@@ -318,9 +304,8 @@ fn service_level(s: ServedBy) -> ServiceLevel {
     }
 }
 
-/// Builds the SILO engine for a config (shared by the concrete
-/// [`run_silo`] path and the registry factories, so both construct
-/// byte-identical hierarchies).
+/// Builds the SILO engine for a config (the registry factories of both
+/// SILO variants).
 pub(crate) fn silo_engine(cfg: &SystemConfig, o_state_forwarding: bool) -> PrivateMoesi {
     PrivateMoesi::new(
         cfg.cores,
@@ -334,8 +319,8 @@ pub(crate) fn silo_engine(cfg: &SystemConfig, o_state_forwarding: bool) -> Priva
     )
 }
 
-/// Builds the shared-LLC baseline engine for a config (shared by
-/// [`run_baseline`] and the registry factories).
+/// Builds the shared-LLC baseline engine for a config (the registry
+/// factories of both baseline variants).
 pub(crate) fn baseline_engine(cfg: &SystemConfig) -> SharedMesi {
     SharedMesi::new(
         cfg.cores,
@@ -608,87 +593,91 @@ fn epoch_env<'a>(
     }
 }
 
-/// Drives `engine` over per-core traces, interleaving cores round-robin,
-/// and prices every access with `timing`. Returns aggregate statistics.
-/// Equivalent to [`run_metered`] with a disabled meter.
+/// How [`run`] drives the loop. All modes return bit-identical
+/// statistics and telemetry for the same reference stream.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum RunMode {
+    /// The hot loop alone: oracle and profiler compiled out.
+    #[default]
+    Plain,
+    /// The run-time invariant oracle (`--check N`): every `N` references
+    /// it replays the engine's invariants and the loop's cross-layer
+    /// assertions, and aborts on the first violation.
+    Checked(NonZeroU64),
+    /// The hot-loop self-profiler (`--profile`): wall-clock samples of
+    /// the [`PROFILE_PHASES`], split into the [`profile_phase_tree`]
+    /// sub-phases by lap probes.
+    Profiled,
+}
+
+/// Everything [`run`] needs beyond the engine, timing model and source.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Warmup window and epoch sampling (disabled by default).
+    pub meter: MeterConfig,
+    /// Plain, checked or profiled.
+    pub mode: RunMode,
+}
+
+/// The results of one [`run`].
+#[derive(Clone, Debug)]
+pub struct RunOutput {
+    /// The simulated statistics of the measurement window.
+    pub stats: RunStats,
+    /// Named counters, latency histograms and the epoch timeline.
+    pub telemetry: Telemetry,
+    /// The hierarchical phase profile, present only under
+    /// [`RunMode::Profiled`].
+    pub profile: Option<PhaseProfile>,
+}
+
+/// Drives `engine` over `source` and prices every access with `timing`:
+/// the one entry point of the simulation loop.
 ///
-/// # Panics
+/// Cores are interleaved round-robin — one reference per live core per
+/// turn — until every stream is exhausted, so replay memory stays
+/// bounded by the reader's buffer. Slice-based callers wrap their traces
+/// in [`SliceTrace::new`](silo_trace::SliceTrace::new). `opts.mode`
+/// picks one of three monomorphizations of the loop; the plain one has
+/// every check and clock read compiled out.
 ///
-/// Panics if `traces.len()` differs from the configured core count.
+/// # Errors
+///
+/// Only under [`RunMode::Checked`]: the first invariant violation,
+/// prefixed with the number of references processed when it was
+/// detected. A violation indicates a simulator bug.
 pub fn run<P: Protocol + ?Sized>(
     engine: &mut P,
     timing: &mut TimingModel,
     cfg: &SystemConfig,
     workload_name: &str,
-    traces: &[Vec<MemRef>],
-) -> RunStats {
-    run_metered(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        traces,
-        &MeterConfig::default(),
-    )
-    .0
-}
-
-/// [`run`] with the telemetry subsystem attached: after
-/// `meter.warmup_refs` processed references the measurement aggregates
-/// reset (simulated state is untouched), and every `meter.epoch_refs`
-/// references the timeline records an epoch sample. With the default
-/// meter the returned [`RunStats`] are bit-identical to [`run`].
-///
-/// # Panics
-///
-/// Panics if `traces.len()` differs from the configured core count.
-pub fn run_metered<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    traces: &[Vec<MemRef>],
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry) {
-    assert_eq!(traces.len(), cfg.cores, "one trace per core");
-    run_metered_source(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        &mut SliceTrace::new(traces),
-        meter,
-    )
-}
-
-/// [`run`] over a streaming [`TraceSource`]: references are pulled one
-/// at a time, so trace length is bounded by the source (a file, a lazy
-/// generator), not by RAM. Bit-identical to [`run`] for the same
-/// reference stream.
-pub fn run_source<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
     source: &mut dyn TraceSource,
-) -> RunStats {
-    run_metered_source(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        source,
-        &MeterConfig::default(),
-    )
-    .0
+    opts: &RunOptions,
+) -> Result<RunOutput, String> {
+    let meter = &opts.meter;
+    match opts.mode {
+        RunMode::Plain => {
+            run_core::<P, false, false>(engine, timing, cfg, workload_name, source, meter, 0)
+        }
+        RunMode::Checked(every) => run_core::<P, true, false>(
+            engine,
+            timing,
+            cfg,
+            workload_name,
+            source,
+            meter,
+            every.get(),
+        ),
+        RunMode::Profiled => {
+            run_core::<P, false, true>(engine, timing, cfg, workload_name, source, meter, 0)
+        }
+    }
 }
 
 /// Ends the warmup window: zeroes the measurement aggregates and takes
 /// counter baselines for the shared resources, but leaves caches,
 /// directories, and bank reservations as they are. Executes at most
-/// once per run, so the link-flit baseline vector is cloned exactly
-/// once at the boundary (the old macro expansion duplicated the
-/// capture code at both call sites).
+/// once per run.
 fn end_warmup<P: Protocol + ?Sized>(
     engine: &mut P,
     timing: &TimingModel,
@@ -777,116 +766,13 @@ fn oracle_sweep<P: Protocol + ?Sized>(
     Ok(())
 }
 
-/// The streaming core of the simulation: [`run_metered`] over a
-/// [`TraceSource`]. Cores are interleaved round-robin — one reference
-/// per live core per turn — until every core's stream is exhausted,
-/// which both matches the slice-era iteration order exactly (so results
-/// are bit-identical) and keeps file-backed replay memory bounded by
-/// the reader's buffer instead of the trace length.
-pub fn run_metered_source<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry) {
-    let mut profile = PhaseProfile::new(&PROFILE_PHASES);
-    match run_core::<P, false, false>(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-        0,
-        &mut profile,
-    ) {
-        Ok(out) => out,
-        Err(e) => unreachable!("unchecked runs cannot fail: {e}"),
-    }
-}
-
-/// [`run_metered_source`] with the hot-loop self-profiler enabled: each
-/// of the [`PROFILE_PHASES`] is wall-clock sampled per reference (trace
-/// pull per round), the engine and timing phases are further attributed
-/// to the [`profile_phase_tree`] sub-phases by lap probes, and the
-/// accumulated hierarchical [`PhaseProfile`] is returned alongside the
-/// results. Profiling only reads the monotonic clock — it never touches
-/// simulated state — so the returned statistics and telemetry are
-/// **bit-identical** to [`run_metered_source`]. The unprofiled path is
-/// a separate monomorphization with every clock read compiled out, so
-/// leaving `--profile` off costs nothing.
-pub fn run_metered_source_profiled<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-) -> (RunStats, Telemetry, PhaseProfile) {
-    let mut profile = PhaseProfile::with_tree(&profile_phase_tree());
-    match run_core::<P, false, true>(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-        0,
-        &mut profile,
-    ) {
-        Ok((stats, telemetry)) => (stats, telemetry, profile),
-        Err(e) => unreachable!("unchecked runs cannot fail: {e}"),
-    }
-}
-
-/// [`run_metered_source`] with the run-time invariant oracle enabled:
-/// every `check_every` processed references it replays the engine's
-/// structural invariants plus the loop's own cross-layer assertions
-/// and aborts the run with a located error on the first violation.
-///
-/// The oracle only observes — it never mutates simulated state — so a
-/// clean checked run returns statistics and telemetry **bit-identical**
-/// to the unchecked path (the golden `check_oracle` test pins this).
-/// The unchecked path is monomorphized with checking compiled out, so
-/// leaving `--check` off costs nothing.
-///
-/// # Errors
-///
-/// Returns the first invariant violation, prefixed with the number of
-/// references processed when it was detected. A violation indicates a
-/// simulator bug, not a workload problem.
-pub fn run_metered_source_checked<P: Protocol + ?Sized>(
-    engine: &mut P,
-    timing: &mut TimingModel,
-    cfg: &SystemConfig,
-    workload_name: &str,
-    source: &mut dyn TraceSource,
-    meter: &MeterConfig,
-    check_every: u64,
-) -> Result<(RunStats, Telemetry), String> {
-    run_core::<P, true, false>(
-        engine,
-        timing,
-        cfg,
-        workload_name,
-        source,
-        meter,
-        check_every.max(1),
-        &mut PhaseProfile::new(&PROFILE_PHASES),
-    )
-}
-
-/// The shared implementation behind the checked, unchecked, and
-/// profiled entry points. `CHECKED` and `PROFILED` are const generics
-/// so the oracle branch and the profiler's clock reads vanish from the
-/// monomorphizations that don't use them instead of costing a
+/// The loop behind [`run`]. `CHECKED` and `PROFILED` are const
+/// generics so the oracle branch and the profiler's clock reads vanish
+/// from the monomorphizations that don't use them instead of costing a
 /// per-reference test. Only three monomorphizations exist per engine
-/// type: unchecked, checked, and profiled (the builder rejects
-/// combining `--check` with `--profile` — the oracle sweep would
-/// dominate the phase timings).
-#[allow(clippy::too_many_arguments)]
+/// type, one per [`RunMode`] (the builder rejects combining `--check`
+/// with `--profile` — the oracle sweep would dominate the phase
+/// timings). `check_every` is read only when `CHECKED`.
 fn run_core<P: Protocol + ?Sized, const CHECKED: bool, const PROFILED: bool>(
     engine: &mut P,
     timing: &mut TimingModel,
@@ -895,8 +781,8 @@ fn run_core<P: Protocol + ?Sized, const CHECKED: bool, const PROFILED: bool>(
     source: &mut dyn TraceSource,
     meter: &MeterConfig,
     check_every: u64,
-    profile: &mut PhaseProfile,
-) -> Result<(RunStats, Telemetry), String> {
+) -> Result<RunOutput, String> {
+    let mut profile = PhaseProfile::with_tree(&profile_phase_tree());
     let mut cores: Vec<CoreState> = (0..cfg.cores).map(|_| CoreState::new(cfg.mlp)).collect();
     let mut served = ServedCounts::default();
     let mut llc_accesses = 0u64;
@@ -1122,45 +1008,59 @@ fn run_core<P: Protocol + ?Sized, const CHECKED: bool, const PROFILED: bool>(
         recorder,
         timeline,
     };
-    Ok((stats, telemetry))
-}
-
-/// Builds and runs the SILO system over a workload (the concrete-type
-/// path; the registry's "SILO" entry produces bit-identical results
-/// through dyn dispatch). References stream from
-/// [`WorkloadSpec::source`] — lazily generated or replayed from file —
-/// so the trace is never materialized.
-///
-/// # Panics
-///
-/// Panics when a `trace:file=` workload's file cannot be opened; use
-/// the builder API for fallible resolution.
-pub fn run_silo(cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> RunStats {
-    let mut engine = silo_engine(cfg, true);
-    let mut timing = TimingModel::silo(cfg);
-    let mut source = spec
-        .source(cfg.cores, cfg.scale, seed)
-        .expect("workload source");
-    run_source(&mut engine, &mut timing, cfg, &spec.name, &mut *source)
-}
-
-/// Builds and runs the shared-LLC baseline over the same workload.
-///
-/// # Panics
-///
-/// Same as [`run_silo`].
-pub fn run_baseline(cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> RunStats {
-    let mut engine = baseline_engine(cfg);
-    let mut timing = TimingModel::baseline(cfg);
-    let mut source = spec
-        .source(cfg.cores, cfg.scale, seed)
-        .expect("workload source");
-    run_source(&mut engine, &mut timing, cfg, &spec.name, &mut *source)
+    Ok(RunOutput {
+        stats,
+        telemetry,
+        profile: PROFILED.then_some(profile),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::WorkloadSpec;
+    use silo_trace::SliceTrace;
+
+    /// [`run`] of the built-in SILO (`silo`) or baseline engine over
+    /// `source`.
+    fn run_on(
+        silo: bool,
+        cfg: &SystemConfig,
+        source: &mut dyn TraceSource,
+        opts: &RunOptions,
+    ) -> RunOutput {
+        let (mut engine, mut timing): (AnyEngine, _) = if silo {
+            (silo_engine(cfg, true).into(), TimingModel::silo(cfg))
+        } else {
+            (baseline_engine(cfg).into(), TimingModel::baseline(cfg))
+        };
+        run(&mut engine, &mut timing, cfg, "t", source, opts).expect("clean run")
+    }
+
+    fn stats_of(silo: bool, cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> RunStats {
+        let mut source = spec.source(cfg.cores, cfg.scale, seed).expect("source");
+        run_on(silo, cfg, &mut *source, &RunOptions::default()).stats
+    }
+
+    /// SILO over a trace where every core hammers one private line,
+    /// 5000 times.
+    fn hit_only_stats(cfg: &SystemConfig) -> RunStats {
+        use silo_types::{AccessKind, LineAddr};
+        let traces: Vec<Vec<MemRef>> = (0..cfg.cores)
+            .map(|c| {
+                let line = LineAddr::new(((c as u64 + 1) << 32) | 1);
+                let mr = MemRef {
+                    line,
+                    kind: AccessKind::Read,
+                    gap_instructions: 3,
+                    dependent: false,
+                };
+                vec![mr; 5_000]
+            })
+            .collect();
+        let opts = RunOptions::default();
+        run_on(true, cfg, &mut SliceTrace::new(&traces), &opts).stats
+    }
 
     fn quick_spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -1175,7 +1075,7 @@ mod tests {
 
     #[test]
     fn silo_run_produces_consistent_stats() {
-        let s = run_silo(&quick_cfg(), &quick_spec(), 1);
+        let s = stats_of(true, &quick_cfg(), &quick_spec(), 1);
         assert_eq!(s.system, "SILO");
         assert!(s.instructions > 0);
         assert!(s.cycles > Cycles::ZERO);
@@ -1187,7 +1087,7 @@ mod tests {
 
     #[test]
     fn baseline_run_uses_llc_not_vaults() {
-        let s = run_baseline(&quick_cfg(), &quick_spec(), 1);
+        let s = stats_of(false, &quick_cfg(), &quick_spec(), 1);
         assert_eq!(s.system, "baseline");
         assert_eq!(s.served.local_vault.get(), 0);
         assert_eq!(s.served.remote_vault.get(), 0);
@@ -1196,8 +1096,8 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run_silo(&quick_cfg(), &quick_spec(), 9);
-        let b = run_silo(&quick_cfg(), &quick_spec(), 9);
+        let a = stats_of(true, &quick_cfg(), &quick_spec(), 9);
+        let b = stats_of(true, &quick_cfg(), &quick_spec(), 9);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.instructions, b.instructions);
         assert_eq!(a.llc_accesses, b.llc_accesses);
@@ -1214,8 +1114,8 @@ mod tests {
         // `both_engines_agree_on_llc_access_counts`.
         let cfg = quick_cfg();
         let spec = quick_spec();
-        let a = run_silo(&cfg, &spec, 3);
-        let b = run_baseline(&cfg, &spec, 3);
+        let a = stats_of(true, &cfg, &spec, 3);
+        let b = stats_of(false, &cfg, &spec, 3);
         let diff = a.llc_accesses.abs_diff(b.llc_accesses) as f64;
         assert!(
             diff / b.llc_accesses as f64 <= 0.01,
@@ -1231,8 +1131,8 @@ mod tests {
         // fits the vault: SILO must win (the paper's Fig. 11 direction).
         let cfg = quick_cfg();
         let spec = quick_spec();
-        let silo = run_silo(&cfg, &spec, 7);
-        let base = run_baseline(&cfg, &spec, 7);
+        let silo = stats_of(true, &cfg, &spec, 7);
+        let base = stats_of(false, &cfg, &spec, 7);
         assert!(
             silo.ipc() > base.ipc(),
             "SILO {} <= baseline {}",
@@ -1247,24 +1147,7 @@ mod tests {
         // everything is an L1 hit, so throughput is capped by the base
         // CPI of 1 per core. The old loop charged only `gap` cycles for
         // `gap + 1` instructions and reported IPC = (gap+1)/gap > 1 here.
-        use silo_types::{AccessKind, LineAddr};
-        let cfg = SystemConfig::paper_16core().with_cores(1);
-        let mut engine = silo_engine(&cfg, true);
-        let mut timing = TimingModel::silo(&cfg);
-        let traces: Vec<Vec<MemRef>> = (0..cfg.cores)
-            .map(|c| {
-                let line = LineAddr::new(((c as u64 + 1) << 32) | 1);
-                (0..5_000)
-                    .map(|_| MemRef {
-                        line,
-                        kind: AccessKind::Read,
-                        gap_instructions: 3,
-                        dependent: false,
-                    })
-                    .collect()
-            })
-            .collect();
-        let s = run(&mut engine, &mut timing, &cfg, "hit-only", &traces);
+        let s = hit_only_stats(&SystemConfig::paper_16core().with_cores(1));
         assert!(
             s.ipc() <= 1.0,
             "hit-only IPC {} exceeds the base-CPI-1 ceiling",
@@ -1277,24 +1160,8 @@ mod tests {
     fn hit_only_multicore_respects_per_core_ceiling() {
         // Aggregate IPC is throughput over the makespan, so the ceiling
         // for N perfectly pipelined cores is N x base CPI 1.
-        use silo_types::{AccessKind, LineAddr};
         let cfg = quick_cfg();
-        let mut engine = silo_engine(&cfg, true);
-        let mut timing = TimingModel::silo(&cfg);
-        let traces: Vec<Vec<MemRef>> = (0..cfg.cores)
-            .map(|c| {
-                let line = LineAddr::new(((c as u64 + 1) << 32) | 1);
-                (0..5_000)
-                    .map(|_| MemRef {
-                        line,
-                        kind: AccessKind::Read,
-                        gap_instructions: 3,
-                        dependent: false,
-                    })
-                    .collect()
-            })
-            .collect();
-        let s = run(&mut engine, &mut timing, &cfg, "hit-only", &traces);
+        let s = hit_only_stats(&cfg);
         assert!(
             s.ipc() <= cfg.cores as f64,
             "hit-only aggregate IPC {} exceeds {} x base CPI",
@@ -1314,17 +1181,13 @@ mod tests {
             refs_per_core: 2_000,
             ..WorkloadSpec::zipf_shared()
         };
-        let mut engine = silo_engine(&cfg, true);
-        let mut timing = TimingModel::silo(&cfg);
         let mut source = spec.source(cfg.cores, cfg.scale, 5).expect("source");
-        let (stats, _tel, p) = run_metered_source_profiled(
-            &mut engine,
-            &mut timing,
-            &cfg,
-            &spec.name,
-            &mut *source,
-            &MeterConfig::default(),
-        );
+        let profiled = RunOptions {
+            mode: RunMode::Profiled,
+            ..RunOptions::default()
+        };
+        let out = run_on(true, &cfg, &mut *source, &profiled);
+        let p = out.profile.expect("profiled runs carry a profile");
         assert_eq!(p.labels().len(), profile_phase_tree().len());
         let engine_children: u64 = p.children(PH_ENGINE).iter().map(|&i| p.nanos()[i]).sum();
         assert_eq!(engine_children, p.nanos()[PH_ENGINE]);
@@ -1336,8 +1199,8 @@ mod tests {
         // Every access goes through the lookup bucket at least once.
         assert!(p.nanos()[PH_ENGINE_CHILD0] > 0);
         // Profiling must not perturb the simulation.
-        let unprofiled = run_silo(&cfg, &spec, 5);
-        assert_eq!(stats, unprofiled);
+        let unprofiled = stats_of(true, &cfg, &spec, 5);
+        assert_eq!(out.stats, unprofiled);
     }
 
     #[test]
@@ -1351,13 +1214,44 @@ mod tests {
             dependent_fraction: 0.0,
             ..quick_spec()
         };
-        let slow = run_silo(&cfg, &chasing, 2);
-        let fast = run_silo(&cfg, &overlapped, 2);
+        let slow = stats_of(true, &cfg, &chasing, 2);
+        let fast = stats_of(true, &cfg, &overlapped, 2);
         assert!(
             slow.cycles > fast.cycles,
             "serialised {} <= overlapped {}",
             slow.cycles,
             fast.cycles
         );
+    }
+
+    #[test]
+    fn every_mode_returns_bit_identical_stats_and_telemetry() {
+        // The oracle and the profiler only observe: with the meter on
+        // (warmup reset plus epoch sampling), all three modes must agree
+        // on every simulated field, for both engine families.
+        let cfg = quick_cfg();
+        let spec = WorkloadSpec {
+            refs_per_core: 1_500,
+            ..WorkloadSpec::producer_consumer()
+        };
+        let meter = MeterConfig {
+            warmup_refs: 600,
+            epoch_refs: Some(1_000),
+        };
+        let every = NonZeroU64::new(97).expect("nonzero");
+        for silo in [true, false] {
+            let [plain, checked, profiled] =
+                [RunMode::Plain, RunMode::Checked(every), RunMode::Profiled].map(|mode| {
+                    let mut source = spec.source(cfg.cores, cfg.scale, 13).expect("source");
+                    run_on(silo, &cfg, &mut *source, &RunOptions { meter, mode })
+                });
+            assert_eq!(plain.telemetry.timeline.rows().len(), 6);
+            for out in [&checked, &profiled] {
+                assert_eq!(out.stats, plain.stats);
+                assert_eq!(out.telemetry, plain.telemetry);
+            }
+            assert!(plain.profile.is_none() && checked.profile.is_none());
+            assert!(profiled.profile.is_some());
+        }
     }
 }

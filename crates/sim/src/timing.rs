@@ -13,7 +13,7 @@ use crate::config::SystemConfig;
 use silo_coherence::{AccessResult, Background, Step};
 use silo_dram::BankArray;
 use silo_noc::{Mesh, NodeId};
-use silo_obs::{Lap, LapProbe};
+use silo_obs::{Lap, LapProbe, NoProbe};
 use silo_types::{Cycles, LineAddr};
 
 /// Labels of the timing sub-phases [`TimingModel::charge_probed`] and
@@ -119,32 +119,26 @@ impl TimingModel {
     /// Panics if a step names a resource this system does not have (an
     /// engine/model mismatch).
     pub fn charge(&mut self, now: Cycles, r: &AccessResult) -> Cycles {
-        let line = r.line;
-        let mut t = now;
-        for step in &r.steps {
-            t = self.charge_step(t, line, step);
-        }
-        for bg in &r.background {
-            self.reserve_background(t, line, bg);
-        }
-        t
+        self.charge_probed(now, r, &mut NoProbe)
     }
 
     /// [`TimingModel::charge`] with sub-phase wall-clock attribution:
-    /// every step's pricing is lapped into the mesh or bank bucket of
-    /// `probe` as it completes, tiling the walk exactly. The caller owns
-    /// [`begin`](Lap::begin) and the MSHR bucket around the call.
-    /// Simulated results are bit-identical to [`TimingModel::charge`].
+    /// every step's pricing is lapped into the [`TP_MESH`] or
+    /// [`TP_BANK`] bucket of `probe` as it completes, tiling the walk
+    /// exactly. The caller owns [`begin`](Lap::begin) and the MSHR
+    /// bucket around the call. With [`NoProbe`] every lap compiles out,
+    /// which is how [`TimingModel::charge`] shares this body; simulated
+    /// results are the same for every probe.
     ///
     /// # Panics
     ///
     /// Panics if a step names a resource this system does not have (an
     /// engine/model mismatch).
-    pub fn charge_probed(
+    pub fn charge_probed<L: Lap>(
         &mut self,
         now: Cycles,
         r: &AccessResult,
-        probe: &mut TimingProbe,
+        probe: &mut L,
     ) -> Cycles {
         let line = r.line;
         let mut t = now;

@@ -586,9 +586,9 @@ impl WorkloadSpec {
         // One streaming validation pass before replay: `TraceReader`
         // itself trusts the stream (its per-record path cannot report
         // errors), so verifying here keeps corrupt files from silently
-        // truncating runs that bypass the builder (run_silo,
-        // run_system, direct source() callers). The builder verifies
-        // too, for typed errors at build time.
+        // truncating runs that bypass the builder (`run` or
+        // `run_system` over a direct source() call). The builder
+        // verifies too, for typed errors at build time.
         silo_trace::verify(path).map_err(|e| trace_err(e.to_string()))?;
         let reader = TraceReader::open(path).map_err(|e| trace_err(e.to_string()))?;
         let recorded = reader.header().cores;

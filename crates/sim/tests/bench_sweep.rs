@@ -4,7 +4,9 @@
 //! `silo`/`baseline` point objects and the N-way `systems` array).
 
 use silo_sim::bench::{run_sweep, run_sweep_sequential, sweep_json, SweepSpec, SCHEMA};
-use silo_sim::{Json, MeterConfig, SystemConfig, SystemRegistry, VaultDesign, WorkloadSpec};
+use silo_sim::{
+    Json, MeterConfig, RunMode, SystemConfig, SystemRegistry, VaultDesign, WorkloadSpec,
+};
 
 fn sweep_spec() -> SweepSpec {
     let shrink = |w: WorkloadSpec| WorkloadSpec {
@@ -24,8 +26,7 @@ fn sweep_spec() -> SweepSpec {
         ],
         seed: 7,
         meter: MeterConfig::default(),
-        check_every: None,
-        profile: false,
+        mode: RunMode::Plain,
     }
 }
 
@@ -191,8 +192,7 @@ fn hit_only_ipc_stays_at_or_below_one_through_the_harness() {
         }],
         seed: 3,
         meter: MeterConfig::default(),
-        check_every: None,
-        profile: false,
+        mode: RunMode::Plain,
     };
     for r in run_sweep(&spec, 2) {
         for run in &r.runs {

@@ -4,7 +4,12 @@
 //! which would indicate a simulator bug — aborts the run instead of
 //! producing corrupt rows.
 
-use silo_sim::{bench, Json, Scenario, Simulation, SimulationBuilder};
+use silo_sim::{bench, Json, RunMode, Scenario, Simulation, SimulationBuilder};
+use std::num::NonZeroU64;
+
+fn checked(every: u64) -> RunMode {
+    RunMode::Checked(NonZeroU64::new(every).expect("nonzero period"))
+}
 
 /// Drops every `wall_ms` field, recursively: the one host-dependent
 /// part of the schema.
@@ -56,9 +61,9 @@ fn checked_run_is_bit_identical_to_an_unchecked_run() {
 #[test]
 fn check_every_survives_into_the_sweep_spec() {
     let sim = pinned().check_every(64).build().expect("valid config");
-    assert_eq!(sim.spec().check_every, Some(64));
+    assert_eq!(sim.spec().mode, checked(64));
     let sim = pinned().build().expect("valid config");
-    assert_eq!(sim.spec().check_every, None, "oracle is off by default");
+    assert_eq!(sim.spec().mode, RunMode::Plain, "oracle is off by default");
 }
 
 #[test]
@@ -75,5 +80,5 @@ fn scenario_check_key_reaches_the_builder() {
     let s = Scenario::parse("check = 128\n").expect("valid scenario");
     assert_eq!(s.check, Some(128));
     let sim = pinned().scenario(&s).build().expect("valid config");
-    assert_eq!(sim.spec().check_every, Some(128));
+    assert_eq!(sim.spec().mode, checked(128));
 }

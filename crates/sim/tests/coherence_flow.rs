@@ -5,7 +5,7 @@
 use silo_coherence::{
     PrivateMoesi, PrivateMoesiConfig, ServedBy, SharedMesi, SharedMesiConfig, State,
 };
-use silo_sim::{run_baseline, run_silo, Rng, SystemConfig, WorkloadSpec};
+use silo_sim::{run_system, Rng, RunOptions, RunStats, SystemConfig, SystemRegistry, WorkloadSpec};
 use silo_types::{LineAddr, MemRef};
 
 fn silo_engine(cores: usize) -> PrivateMoesi {
@@ -128,6 +128,18 @@ fn both_engines_agree_on_llc_access_counts() {
     mesi.check().expect("MESI invariants hold");
 }
 
+/// Plain run at seed 42 of the registered system `name`.
+fn run_named(name: &str, cfg: &SystemConfig, spec: &WorkloadSpec) -> RunStats {
+    let sys = SystemRegistry::builtin()
+        .get(name)
+        .expect("builtin")
+        .clone();
+    let mut source = spec.source(cfg.cores, cfg.scale, 42).expect("source");
+    run_system(&sys, cfg, &spec.name, &mut *source, &RunOptions::default())
+        .expect("plain runs cannot fail")
+        .stats
+}
+
 /// Full-stack acceptance run: a 16-core mesh, both systems, three
 /// workloads; SILO serves a nonzero fraction from the local vault, wins
 /// on throughput, and the whole pipeline is deterministic.
@@ -143,8 +155,8 @@ fn end_to_end_sixteen_core_comparison() {
             refs_per_core: 2_000,
             ..spec
         };
-        let silo = run_silo(&cfg, &spec, 42);
-        let base = run_baseline(&cfg, &spec, 42);
+        let silo = run_named("SILO", &cfg, &spec);
+        let base = run_named("baseline", &cfg, &spec);
         assert!(
             silo.served.fraction(ServedBy::LocalVault) > 0.0,
             "{}: SILO must serve accesses from the local vault",
@@ -168,11 +180,7 @@ fn end_to_end_sixteen_core_comparison() {
             base.ipc()
         );
 
-        let again = run_silo(&cfg, &spec, 42);
-        assert_eq!(
-            silo.cycles, again.cycles,
-            "{}: nondeterministic run",
-            spec.name
-        );
+        let again = run_named("SILO", &cfg, &spec);
+        assert_eq!(silo, again, "{}: nondeterministic run", spec.name);
     }
 }

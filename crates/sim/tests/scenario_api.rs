@@ -1,14 +1,47 @@
-//! Integration tests for the scenario-first API: registry dyn-dispatch
-//! runs must be bit-identical to the old concrete-type paths, scenario
+//! Integration tests for the scenario-first API: registry runs must be
+//! bit-identical to running the concrete engines directly, scenario
 //! files must round-trip to the same results as equivalent builder
 //! invocations, and malformed input must produce typed errors, never
 //! panics.
 
 use silo_sim::{
-    run_baseline, run_silo, run_system, ConfigError, Scenario, Simulation, SystemConfig,
-    SystemRegistry, WorkloadSpec,
+    run, run_system, AnyEngine, ConfigError, RunOptions, RunStats, Scenario, Simulation,
+    SystemConfig, SystemRegistry, WorkloadSpec,
 };
 use std::path::Path;
+
+/// Plain run of the registered system `name` through [`run_system`].
+fn registry_run(name: &str, cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> RunStats {
+    let sys = SystemRegistry::builtin()
+        .get(name)
+        .expect("builtin")
+        .clone();
+    let mut source = spec.source(cfg.cores, cfg.scale, seed).expect("source");
+    run_system(&sys, cfg, &spec.name, &mut *source, &RunOptions::default())
+        .expect("plain runs cannot fail")
+        .stats
+}
+
+/// Plain run of the engine the registry instantiates for `name`, taken
+/// out of its [`AnyEngine`] and driven as the concrete type
+/// (`run::<PrivateMoesi>` / `run::<SharedMesi>`).
+fn concrete_run(name: &str, cfg: &SystemConfig, spec: &WorkloadSpec, seed: u64) -> RunStats {
+    let inst = SystemRegistry::builtin()
+        .get(name)
+        .expect("builtin")
+        .instantiate(cfg);
+    let mut timing = inst.timing;
+    let mut source = spec.source(cfg.cores, cfg.scale, seed).expect("source");
+    let opts = RunOptions::default();
+    let out = match inst.engine {
+        AnyEngine::Silo(mut e) => run(&mut e, &mut timing, cfg, &spec.name, &mut *source, &opts),
+        AnyEngine::Baseline(mut e) => {
+            run(&mut e, &mut timing, cfg, &spec.name, &mut *source, &opts)
+        }
+        AnyEngine::Custom(_) => panic!("built-in systems instantiate concrete engines"),
+    };
+    out.expect("plain runs cannot fail").stats
+}
 
 fn quick_cfg() -> SystemConfig {
     SystemConfig::paper_16core().with_cores(4)
@@ -24,7 +57,6 @@ fn quick_spec() -> WorkloadSpec {
 #[test]
 fn dyn_dispatch_runs_are_bit_identical_to_concrete_runs() {
     let cfg = quick_cfg();
-    let reg = SystemRegistry::builtin();
     for spec in [
         quick_spec(),
         WorkloadSpec {
@@ -32,41 +64,28 @@ fn dyn_dispatch_runs_are_bit_identical_to_concrete_runs() {
             ..WorkloadSpec::producer_consumer()
         },
     ] {
-        let silo_dyn = run_system(reg.get("SILO").expect("builtin"), &cfg, &spec, 42);
-        let silo_concrete = run_silo(&cfg, &spec, 42);
-        assert_eq!(
-            silo_dyn, silo_concrete,
-            "{}: registry SILO diverged from the concrete path",
-            spec.name
-        );
-
-        let base_dyn = run_system(reg.get("baseline").expect("builtin"), &cfg, &spec, 42);
-        let base_concrete = run_baseline(&cfg, &spec, 42);
-        assert_eq!(
-            base_dyn, base_concrete,
-            "{}: registry baseline diverged from the concrete path",
-            spec.name
-        );
+        for name in ["SILO", "baseline"] {
+            assert_eq!(
+                registry_run(name, &cfg, &spec, 42),
+                concrete_run(name, &cfg, &spec, 42),
+                "{}: registry {name} diverged from the concrete path",
+                spec.name
+            );
+        }
     }
 }
 
 #[test]
 fn registry_variants_actually_differ_from_their_parents() {
     let cfg = quick_cfg();
-    let reg = SystemRegistry::builtin();
     // producer-consumer exchanges dirty lines: the O state matters.
     let spec = WorkloadSpec {
         refs_per_core: 4_000,
         ..WorkloadSpec::producer_consumer()
     };
 
-    let silo = run_system(reg.get("SILO").expect("builtin"), &cfg, &spec, 42);
-    let no_fwd = run_system(
-        reg.get("silo-no-forward").expect("builtin"),
-        &cfg,
-        &spec,
-        42,
-    );
+    let silo = registry_run("SILO", &cfg, &spec, 42);
+    let no_fwd = registry_run("silo-no-forward", &cfg, &spec, 42);
     assert_eq!(no_fwd.system, "silo-no-forward");
     assert_ne!(
         silo.cycles, no_fwd.cycles,
@@ -79,8 +98,8 @@ fn registry_variants_actually_differ_from_their_parents() {
         silo.ipc()
     );
 
-    let base = run_system(reg.get("baseline").expect("builtin"), &cfg, &spec, 42);
-    let base2x = run_system(reg.get("baseline-2x").expect("builtin"), &cfg, &spec, 42);
+    let base = registry_run("baseline", &cfg, &spec, 42);
+    let base2x = registry_run("baseline-2x", &cfg, &spec, 42);
     assert_eq!(base2x.system, "baseline-2x");
     assert!(
         base2x.served.memory.get() < base.served.memory.get(),
@@ -155,11 +174,11 @@ fn three_way_scenario_keeps_pair_rows_bit_identical_to_concrete_runs() {
     };
     assert_eq!(
         records[0].run("SILO").expect("ran").stats,
-        run_silo(&cfg, &w, 9)
+        concrete_run("SILO", &cfg, &w, 9)
     );
     assert_eq!(
         records[0].run("baseline").expect("ran").stats,
-        run_baseline(&cfg, &w, 9)
+        concrete_run("baseline", &cfg, &w, 9)
     );
 }
 

@@ -206,10 +206,12 @@ fn warmup_swallowing_every_reference_is_rejected_at_build_time() {
 fn warmup_larger_than_the_trace_yields_an_empty_window_not_full_run_stats() {
     // Regression at the run-loop level (the builder rejects this
     // configuration up front, but library callers can still drive
-    // `run_metered` directly): a warmup window that overshoots the
+    // `run` directly): a warmup window that overshoots the
     // trace must still reset at end of run, so the measurement window
     // is consistently empty — not silently identical to warmup 0.
-    use silo_sim::{run_metered, MeterConfig, SystemConfig, SystemRegistry, WorkloadSpec};
+    use silo_sim::{
+        run, MeterConfig, RunOptions, SliceTrace, SystemConfig, SystemRegistry, WorkloadSpec,
+    };
     let cfg = SystemConfig::paper_16core().with_cores(4);
     let spec = WorkloadSpec {
         refs_per_core: 500,
@@ -221,17 +223,23 @@ fn warmup_larger_than_the_trace_yields_an_empty_window_not_full_run_stats() {
             .get("SILO")
             .expect("builtin")
             .instantiate(&cfg);
-        let (stats, _) = run_metered(
+        let opts = RunOptions {
+            meter: MeterConfig {
+                warmup_refs: warmup,
+                epoch_refs: None,
+            },
+            ..RunOptions::default()
+        };
+        let stats = run(
             &mut inst.engine,
             &mut inst.timing,
             &cfg,
             &spec.name,
-            &traces,
-            &MeterConfig {
-                warmup_refs: warmup,
-                epoch_refs: None,
-            },
-        );
+            &mut SliceTrace::new(&traces),
+            &opts,
+        )
+        .expect("plain runs cannot fail")
+        .stats;
         assert_eq!(stats.instructions, 0, "warmup {warmup}");
         assert_eq!(stats.served.total(), 0);
         assert_eq!(stats.llc_accesses, 0);

@@ -189,7 +189,7 @@ fn corrupt_trace_files_are_rejected_at_build_time() {
 
     // Paths that bypass the builder hit the same validation:
     // WorkloadSpec::source verifies before streaming, so a truncated
-    // file cannot silently truncate a run_silo/run_system replay.
+    // file cannot silently truncate a `run`/`run_system` replay.
     let p = dir.join("bad.silotrace");
     std::fs::write(&p, &valid[..valid.len() / 2]).expect("write corrupt file");
     let w = WorkloadSpec::parse(&format!("trace:file={}", p.display())).expect("parses");
@@ -238,6 +238,50 @@ fn warmup_check_uses_exact_record_counts_for_uneven_traces() {
         other => panic!("wanted ConfigError::BadValue, got {other:?}"),
     }
     build_with_warmup(149).expect("one measurable ref remains");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_overflowing_header_hint_replays_like_a_truthful_header() {
+    // The header's refs_per_core is only a sizing hint that `verify`
+    // accepts at any value, so a checksum-valid file may claim
+    // u64::MAX / 2 refs per core: the product with 4 cores overflows,
+    // and with 10-ref epochs the naive row reservation is absurd. The
+    // replay must neither abort nor change: the rows equal those of
+    // the same records under a truthful header.
+    let dir = temp_dir("hint");
+    let spec = WorkloadSpec {
+        refs_per_core: 300,
+        ..WorkloadSpec::producer_consumer()
+    };
+    let traces = spec.generate(4, 64, 3);
+    let replay = |refs_per_core: u64| {
+        let path = dir.join(format!("hint-{refs_per_core}.silotrace"));
+        let header = silo_sim::TraceHeader {
+            cores: 4,
+            refs_per_core,
+            seed: 3,
+            name: "hinted".into(),
+            provenance: "test".into(),
+        };
+        silo_trace::write_traces(&path, &header, &traces).expect("write");
+        Simulation::builder()
+            .workloads([format!("trace:file={}", path.display())])
+            .cores([4])
+            .epoch_refs(10)
+            .threads(1)
+            .build()
+            .expect("builds")
+            .run_sequential()
+    };
+    let truthful = replay(300);
+    let lying = replay(u64::MAX / 2);
+    assert_eq!(truthful.len(), 1);
+    for (a, b) in truthful[0].runs.iter().zip(&lying[0].runs) {
+        assert_eq!(a.stats, b.stats, "{}", a.stats.system);
+        assert_eq!(a.telemetry, b.telemetry, "{}", a.stats.system);
+        assert_eq!(a.telemetry.timeline.rows().len(), 4 * 300 / 10);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -205,12 +205,15 @@ impl Timeline {
     }
 
     /// Pre-sizes the row storage for a run expected to process
-    /// `expected_refs` references, so epoch flushes never reallocate
-    /// mid-run. A no-op when sampling is disabled.
+    /// `expected_refs` references, so epoch flushes rarely reallocate
+    /// mid-run. A no-op when sampling is disabled. The expectation is a
+    /// hint that may come from an untrusted file header, so at most
+    /// 4096 rows are reserved up front: a wrong hint never aborts the
+    /// run or changes its rows.
     pub fn reserve_for(&mut self, expected_refs: u64) {
         if self.enabled() {
-            self.rows
-                .reserve(expected_refs.div_ceil(self.epoch_refs) as usize);
+            let rows = expected_refs.div_ceil(self.epoch_refs).min(4096);
+            self.rows.reserve(rows as usize);
         }
     }
 

@@ -287,8 +287,12 @@ impl<R: BufRead> TraceSource for TraceReader<R> {
     }
 
     fn len_hint(&self) -> Option<u64> {
-        (self.header.refs_per_core > 0)
-            .then(|| self.header.refs_per_core * self.header.cores as u64)
+        // `verify` accepts any header count, so an untrusted file may
+        // claim a product that overflows: no hint then.
+        self.header
+            .refs_per_core
+            .checked_mul(self.header.cores as u64)
+            .filter(|&n| n > 0)
     }
 }
 

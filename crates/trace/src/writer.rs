@@ -136,11 +136,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// References written so far, per core.
-    pub fn per_core_counts(&self) -> &[u64] {
-        &self.per_core
-    }
-
     /// Seals the trace: sentinel tag, record count, checksum; flushes
     /// and returns the sink.
     ///
