@@ -19,6 +19,17 @@
 //!   --cores 4 --refs 2000 --seed 12345 --warmup 1024 --epoch 1500 \
 //!   --threads 1 --json crates/sim/tests/golden/bench_pinned.json
 //! ```
+//!
+//! `golden/bench_pinned_64c.json` pins the same document above 16
+//! nodes (a 4x5 and an 8x8 mesh) and regenerates with:
+//!
+//! ```text
+//! cargo run --release -- --sweep --sweep-cores 20,64 \
+//!   --systems SILO,baseline,silo-no-forward,baseline-2x \
+//!   --workloads producer-consumer,zipf-shared \
+//!   --refs 400 --seed 12345 --warmup 2048 --epoch 3000 \
+//!   --threads 1 --json crates/sim/tests/golden/bench_pinned_64c.json
+//! ```
 
 use silo_sim::{bench, Json, Simulation};
 
@@ -38,24 +49,13 @@ fn strip_wall_ms(v: Json) -> Json {
     }
 }
 
-#[test]
-fn pinned_seed_bench_json_is_byte_identical_to_the_committed_fixture() {
-    let fixture_text = include_str!("golden/bench_pinned.json");
+/// Runs `sim`, renders its `silo-bench/v1` document at `seed`, and
+/// asserts it equals `fixture_text` byte for byte once every `wall_ms`
+/// is stripped; a mismatch names the first differing byte.
+fn assert_matches_fixture(fixture_text: &str, sim: Simulation, seed: u64) {
     let fixture = Json::parse(fixture_text).expect("fixture parses");
-
-    let sim = Simulation::builder()
-        .systems(["SILO", "baseline", "silo-no-forward", "baseline-2x"])
-        .workloads(["zipf-shared", "uniform-private", "pointer-chase"])
-        .cores([4])
-        .refs_per_core(2000)
-        .seed(12345)
-        .warmup_refs(1024)
-        .epoch_refs(1500)
-        .threads(1)
-        .build()
-        .expect("pinned config is valid");
     let records = sim.run();
-    let fresh = bench::sweep_json(&records, 12345);
+    let fresh = bench::sweep_json(&records, seed);
 
     let want = strip_wall_ms(fixture).to_string();
     let got = strip_wall_ms(fresh).to_string();
@@ -76,4 +76,40 @@ fn pinned_seed_bench_json_is_byte_identical_to_the_committed_fixture() {
             &got[lo..(at + 80).min(got.len())],
         );
     }
+}
+
+#[test]
+fn pinned_seed_bench_json_is_byte_identical_to_the_committed_fixture() {
+    let sim = Simulation::builder()
+        .systems(["SILO", "baseline", "silo-no-forward", "baseline-2x"])
+        .workloads(["zipf-shared", "uniform-private", "pointer-chase"])
+        .cores([4])
+        .refs_per_core(2000)
+        .seed(12345)
+        .warmup_refs(1024)
+        .epoch_refs(1500)
+        .threads(1)
+        .build()
+        .expect("pinned config is valid");
+    assert_matches_fixture(include_str!("golden/bench_pinned.json"), sim, 12345);
+}
+
+/// The same gate above 16 nodes: a 4x5 mesh (20 cores, non-square) and
+/// the 8x8 maximum (64 cores), on the two write-sharing workloads that
+/// exercise invalidation rounds, owner forwards, and every directory
+/// node id up to 63.
+#[test]
+fn pinned_seed_64_core_bench_json_is_byte_identical_to_the_committed_fixture() {
+    let sim = Simulation::builder()
+        .systems(["SILO", "baseline", "silo-no-forward", "baseline-2x"])
+        .workloads(["producer-consumer", "zipf-shared"])
+        .cores([20, 64])
+        .refs_per_core(400)
+        .seed(12345)
+        .warmup_refs(2048)
+        .epoch_refs(3000)
+        .threads(1)
+        .build()
+        .expect("pinned config is valid");
+    assert_matches_fixture(include_str!("golden/bench_pinned_64c.json"), sim, 12345);
 }
