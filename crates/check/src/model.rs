@@ -89,11 +89,6 @@ const INV_DIRTY_OWNERSHIP: usize = 5;
 const INV_FORWARD_POLICY: usize = 6;
 const INV_SERVED: usize = 7;
 
-/// Smallest node count that forces the directory's boxed Large entry
-/// form; the packed-roundtrip invariant replays every reachable state
-/// vector through both forms.
-const LARGE_FORM_NODES: usize = 17;
-
 struct Tally {
     checked: [u64; INVARIANT_NAMES.len()],
     failed: Option<(usize, String)>,
@@ -157,15 +152,13 @@ fn fingerprint<E: ModelEngine>(e: &E, lines: &[LineAddr], n_nodes: usize) -> Vec
 /// Per-state invariants: SWMR, at most one owner, no O where the
 /// protocol forbids it, the engine's structural `check`, and the
 /// packed-entry roundtrip replay.
-#[allow(clippy::too_many_arguments)]
 fn check_state<E: ModelEngine>(
     e: &E,
     lines: &[LineAddr],
     n_nodes: usize,
     allows_o: bool,
     tally: &mut Tally,
-    scratch_small: &mut DuplicateTagDirectory,
-    scratch_large: &mut DuplicateTagDirectory,
+    scratch: &mut DuplicateTagDirectory,
     states_buf: &mut Vec<State>,
 ) -> bool {
     for &line in lines {
@@ -209,13 +202,7 @@ fn check_state<E: ModelEngine>(
             }
         }
 
-        if !tally.assert(
-            INV_PACKED,
-            packed_roundtrip(line, states_buf, scratch_small),
-        ) || !tally.assert(
-            INV_PACKED,
-            packed_roundtrip(line, states_buf, scratch_large),
-        ) {
+        if !tally.assert(INV_PACKED, packed_roundtrip(line, states_buf, scratch)) {
             return false;
         }
     }
@@ -226,9 +213,7 @@ fn check_state<E: ModelEngine>(
 /// `set_state` (the packed write path) and compares what the packed
 /// entry reports — per-node states, holders mask, owner — against the
 /// unpacked reference vector. The scratch directory is restored to
-/// empty before returning. One scratch uses the inline Small entry
-/// form, the other the boxed Large form, so both packings are checked
-/// against every reachable state vector.
+/// empty before returning.
 fn packed_roundtrip(
     line: LineAddr,
     states: &[State],
@@ -444,8 +429,7 @@ pub fn explore<E: ModelEngine>(
 
     let mut tally = Tally::new();
     let mut deviations: BTreeMap<String, u64> = BTreeMap::new();
-    let mut scratch_small = DuplicateTagDirectory::new(n_nodes);
-    let mut scratch_large = DuplicateTagDirectory::new(n_nodes.max(LARGE_FORM_NODES));
+    let mut scratch = DuplicateTagDirectory::new(n_nodes);
     let mut states_buf: Vec<State> = Vec::with_capacity(n_nodes);
     let mut pre_dirty = vec![false; world.lines.len()];
 
@@ -469,8 +453,7 @@ pub fn explore<E: ModelEngine>(
         n_nodes,
         allows_o,
         &mut tally,
-        &mut scratch_small,
-        &mut scratch_large,
+        &mut scratch,
         &mut states_buf,
     ) {
         queue.push_back(0);
@@ -539,8 +522,7 @@ pub fn explore<E: ModelEngine>(
                     n_nodes,
                     allows_o,
                     &mut tally,
-                    &mut scratch_small,
-                    &mut scratch_large,
+                    &mut scratch,
                     &mut states_buf,
                 );
                 if !state_ok {

@@ -10,7 +10,16 @@
 //! Physically the directory is distributed across the vaults in an
 //! address-interleaved fashion; this structure is the *functional*
 //! content, and the engine emits `DirLookup`/`DirUpdate` steps against the
-//! home node so the simulator charges the DRAM accesses.
+//! home node so the simulator charges the DRAM accesses. The priced cost
+//! is still Fig. 9's 3 bits per way: a `DirUpdate { ways }` step charges
+//! one vault access per way touched.
+//!
+//! The functional entry for 1–64 nodes is one inline 16-byte value: the
+//! holder mask plus the owner-like node and its state. That is lossless
+//! under the MESI/MOESI single-writer rules: at most one node holds the
+//! line in M, O, or E, and every other valid copy is S. So the state of
+//! any node is derived as "the owner's stored state, S if masked, I
+//! otherwise", and no per-node state vector is stored.
 
 use crate::state::State;
 use silo_types::hash::{fx_map_with_capacity, FxHashMap};
@@ -31,146 +40,50 @@ pub struct DirView {
     pub owner: Option<(usize, State)>,
 }
 
-/// One tracked line: the per-node states packed 4 bits each (the paper
-/// stores 3 bits per way, Fig. 9 — we round up to a nibble for cheap
-/// shifts), plus the holder mask and owner-like node cached so the hot
-/// [`DuplicateTagDirectory::lookup_view`] path is O(1) instead of a
-/// scan over a heap-allocated state vector.
-///
-/// `mask` is maintained unconditionally in `set_state` and therefore
-/// always equals the valid bits of `states`. `owner` is maintained under
-/// the single-writer invariant (at most one owner-like node); the
-/// inspection APIs that must work even on deliberately broken state
-/// ([`DuplicateTagDirectory::owner`],
-/// [`DuplicateTagDirectory::check_invariants`]) scan `states` instead.
-#[derive(Clone, Copy, Debug)]
-struct LargeEntry {
-    /// 4 bits per node, node `n` at bits `4*(n%16)` of word `n/16`;
-    /// zeroed storage decodes to all-I.
-    states: [u64; 4],
-    /// Bitmask of nodes whose packed state is valid.
-    mask: u64,
-    /// The owner-like node and its state, under the protocol invariant.
-    owner: Option<(u8, State)>,
-}
-
-/// `Small::owner` encoding: no owner.
+/// [`Entry::owner`] encoding: no owner-like holder. Its node byte (255)
+/// matches no node id, so [`Entry::get`] needs no separate test for it.
 const NO_OWNER: u16 = u16::MAX;
 
-#[derive(Clone, Debug)]
-enum Entry {
-    /// Up to 16 nodes (the paper's machine is 16-core): the whole state
-    /// vector in one word, 16 bytes per entry. Directory entries are
-    /// the largest metadata population of a run, so halving them keeps
-    /// far more of the map in host cache.
-    Small {
-        /// 4 bits per node, node `n` at bits `4n`.
-        states: u64,
-        /// Bitmask of nodes whose packed state is valid.
-        mask: u16,
-        /// `state.to_bits() << 8 | node`, or [`NO_OWNER`].
-        owner: u16,
-    },
-    /// 17–64 nodes, boxed to keep the common case small.
-    Large(Box<LargeEntry>),
+/// One tracked line: who holds it, and who owns it.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// Bitmask of nodes holding the line in any valid state.
+    mask: u64,
+    /// `state.to_bits() << 8 | node` for the owner-like holder, or
+    /// [`NO_OWNER`].
+    owner: u16,
 }
 
 impl Entry {
-    fn empty(n_nodes: usize) -> Entry {
-        if n_nodes <= 16 {
-            Entry::Small {
-                states: 0,
-                mask: 0,
-                owner: NO_OWNER,
-            }
+    #[inline]
+    fn pack_owner(node: usize, state: State) -> u16 {
+        u16::from(state.to_bits()) << 8 | node as u16
+    }
+
+    /// The owner-like node's id, or 255 when there is none.
+    #[inline]
+    fn owner_node(self) -> usize {
+        usize::from(self.owner & 0xFF)
+    }
+
+    #[inline]
+    fn get(self, node: usize) -> State {
+        if self.mask >> node & 1 == 0 {
+            State::I
+        } else if self.owner_node() == node {
+            State::from_bits((self.owner >> 8) as u8)
         } else {
-            Entry::Large(Box::new(LargeEntry {
-                states: [0; 4],
-                mask: 0,
-                owner: None,
-            }))
+            State::S
         }
     }
 
     #[inline]
-    fn get(&self, node: usize) -> State {
-        match self {
-            Entry::Small { states, .. } => State::from_bits(((states >> (node * 4)) & 0xF) as u8),
-            Entry::Large(e) => {
-                State::from_bits(((e.states[node >> 4] >> ((node & 15) * 4)) & 0xF) as u8)
-            }
-        }
+    fn owner(self) -> Option<(usize, State)> {
+        (self.owner != NO_OWNER)
+            .then(|| (self.owner_node(), State::from_bits((self.owner >> 8) as u8)))
     }
 
-    #[inline]
-    fn set(&mut self, node: usize, s: State) {
-        match self {
-            Entry::Small { states, .. } => {
-                let shift = node * 4;
-                *states = (*states & !(0xF << shift)) | (u64::from(s.to_bits()) << shift);
-            }
-            Entry::Large(e) => {
-                let shift = (node & 15) * 4;
-                let word = &mut e.states[node >> 4];
-                *word = (*word & !(0xF << shift)) | (u64::from(s.to_bits()) << shift);
-            }
-        }
-    }
-
-    #[inline]
-    fn mask(&self) -> u64 {
-        match self {
-            Entry::Small { mask, .. } => u64::from(*mask),
-            Entry::Large(e) => e.mask,
-        }
-    }
-
-    #[inline]
-    fn set_mask_bit(&mut self, node: usize, on: bool) {
-        match self {
-            Entry::Small { mask, .. } => {
-                if on {
-                    *mask |= 1 << node;
-                } else {
-                    *mask &= !(1 << node);
-                }
-            }
-            Entry::Large(e) => {
-                if on {
-                    e.mask |= 1 << node;
-                } else {
-                    e.mask &= !(1 << node);
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn owner(&self) -> Option<(usize, State)> {
-        match self {
-            Entry::Small { owner, .. } => (*owner != NO_OWNER).then(|| {
-                (
-                    (owner & 0xFF) as usize,
-                    State::from_bits((owner >> 8) as u8),
-                )
-            }),
-            Entry::Large(e) => e.owner.map(|(n, s)| (n as usize, s)),
-        }
-    }
-
-    #[inline]
-    fn set_owner(&mut self, new: Option<(u8, State)>) {
-        match self {
-            Entry::Small { owner, .. } => {
-                *owner = new.map_or(NO_OWNER, |(n, s)| {
-                    u16::from(s.to_bits()) << 8 | u16::from(n)
-                });
-            }
-            Entry::Large(e) => e.owner = new,
-        }
-    }
-
-    fn unpack(&self, n_nodes: usize) -> Vec<State> {
+    fn unpack(self, n_nodes: usize) -> Vec<State> {
         (0..n_nodes).map(|n| self.get(n)).collect()
     }
 }
@@ -181,6 +94,11 @@ impl Entry {
 pub struct DuplicateTagDirectory {
     n_nodes: usize,
     entries: FxHashMap<LineAddr, Entry>,
+    /// The first line on which [`DuplicateTagDirectory::set_state`]
+    /// installed an owner-like state while another node still owned it.
+    /// The entry keeps only the newer owner, so the violation is recorded
+    /// here for [`DuplicateTagDirectory::check_invariants`].
+    double_owner: Option<LineAddr>,
     lookups: u64,
     updates: u64,
 }
@@ -199,6 +117,7 @@ impl DuplicateTagDirectory {
         DuplicateTagDirectory {
             n_nodes,
             entries: fx_map_with_capacity(PRESIZE_LINES),
+            double_owner: None,
             lookups: 0,
             updates: 0,
         }
@@ -218,15 +137,14 @@ impl DuplicateTagDirectory {
     /// per-node states without allocating (I for absent).
     pub fn lookup_states(&mut self, line: LineAddr) -> impl Iterator<Item = State> + '_ {
         self.lookups += 1;
-        let entry = self.entries.get(&line);
+        let entry = self.entries.get(&line).copied();
         (0..self.n_nodes).map(move |n| entry.map_or(State::I, |e| e.get(n)))
     }
 
     /// Records a directory lookup and returns the compact per-line view
     /// the protocol engines act on: the holder bitmask and the owner-like
     /// node with its state (at most one, by the single-writer invariant).
-    /// O(1): both fields are maintained incrementally by
-    /// [`DuplicateTagDirectory::set_state`].
+    /// O(1): both fields are the stored entry.
     pub fn lookup_view(&mut self, line: LineAddr) -> DirView {
         self.lookups += 1;
         match self.entries.get(&line) {
@@ -235,7 +153,7 @@ impl DuplicateTagDirectory {
                 owner: None,
             },
             Some(e) => DirView {
-                mask: e.mask(),
+                mask: e.mask,
                 owner: e.owner(),
             },
         }
@@ -243,33 +161,45 @@ impl DuplicateTagDirectory {
 
     /// Sets the state of `line` at `node`, creating or garbage-collecting
     /// the entry as needed. Returns the previous state.
+    ///
+    /// Installing an owner-like state while a different node still owns
+    /// the line breaks the single-writer rule; the entry keeps the new
+    /// owner (the old one reads as S) and the line is reported by
+    /// [`DuplicateTagDirectory::check_invariants`]. Engines therefore
+    /// retire the old owner before installing a new one.
     pub fn set_state(&mut self, line: LineAddr, node: usize, state: State) -> State {
         assert!(node < self.n_nodes, "node {node} out of range");
         self.updates += 1;
+        let bit = 1u64 << node;
         match self.entries.get_mut(&line) {
             Some(e) => {
                 let prev = e.get(node);
-                e.set(node, state);
-                e.set_mask_bit(node, state.is_valid());
-                if state.is_ownerlike() {
-                    e.set_owner(Some((node as u8, state)));
-                } else if e.owner().is_some_and(|(n, _)| n == node) {
-                    e.set_owner(None);
+                if state.is_valid() {
+                    e.mask |= bit;
+                } else {
+                    e.mask &= !bit;
                 }
-                if e.mask() == 0 {
+                if state.is_ownerlike() {
+                    if e.owner != NO_OWNER && e.owner_node() != node {
+                        self.double_owner.get_or_insert(line);
+                    }
+                    e.owner = Entry::pack_owner(node, state);
+                } else if e.owner_node() == node {
+                    e.owner = NO_OWNER;
+                }
+                if e.mask == 0 {
                     self.entries.remove(&line);
                 }
                 prev
             }
             None => {
                 if state.is_valid() {
-                    let mut e = Entry::empty(self.n_nodes);
-                    e.set(node, state);
-                    e.set_mask_bit(node, true);
-                    if state.is_ownerlike() {
-                        e.set_owner(Some((node as u8, state)));
-                    }
-                    self.entries.insert(line, e);
+                    let owner = if state.is_ownerlike() {
+                        Entry::pack_owner(node, state)
+                    } else {
+                        NO_OWNER
+                    };
+                    self.entries.insert(line, Entry { mask: bit, owner });
                 }
                 State::I
             }
@@ -277,23 +207,20 @@ impl DuplicateTagDirectory {
     }
 
     /// The node holding the line in an owner-like state (M, O, or E), if
-    /// any. At most one such node exists (protocol invariant); this scans
-    /// the packed states rather than trusting the cached owner, so it
-    /// stays meaningful on invariant-violating state under test.
+    /// any. At most one such node exists (protocol invariant).
     pub fn owner(&self, line: LineAddr) -> Option<usize> {
-        let e = self.entries.get(&line)?;
-        (0..self.n_nodes).find(|&n| e.get(n).is_ownerlike())
+        self.entries.get(&line)?.owner().map(|(n, _)| n)
     }
 
     /// Bitmask of nodes holding the line in any valid state.
     pub fn holders_mask(&self, line: LineAddr) -> u64 {
-        self.entries.get(&line).map_or(0, Entry::mask)
+        self.entries.get(&line).map_or(0, |e| e.mask)
     }
 
     /// Lowest-numbered node holding the line in any valid state,
     /// excluding `except`.
     pub fn first_holder_except(&self, line: LineAddr, except: usize) -> Option<usize> {
-        let m = self.entries.get(&line)?.mask() & !(1u64 << except);
+        let m = self.entries.get(&line)?.mask & !(1u64 << except);
         (m != 0).then(|| m.trailing_zeros() as usize)
     }
 
@@ -329,7 +256,7 @@ impl DuplicateTagDirectory {
     pub fn total_holders(&self) -> u64 {
         self.entries
             .values()
-            .map(|e| u64::from(e.mask().count_ones()))
+            .map(|e| u64::from(e.mask.count_ones()))
             .sum()
     }
 
@@ -338,82 +265,43 @@ impl DuplicateTagDirectory {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant:
-    /// * at most one node in an owner-like state (M/O/E);
-    /// * M and E never coexist with any other valid copy;
+    /// * at most one node in an owner-like state (M/O/E), as recorded by
+    ///   [`DuplicateTagDirectory::set_state`];
     /// * no fully-invalid entries survive (garbage collection);
-    /// * the cached holder mask equals the valid bits of the packed
-    ///   states;
-    /// * the cached owner equals the scanned owner-like node.
+    /// * the owner-like node is one of the holders;
+    /// * M and E never coexist with any other valid copy.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if let Some(line) = self.double_owner {
+            return Err(format!("{line}: 2 owner-like copies"));
+        }
         for (line, e) in &self.entries {
-            let states = e.unpack(self.n_nodes);
-            let ownerlike = states.iter().filter(|s| s.is_ownerlike()).count();
-            if ownerlike > 1 {
-                return Err(format!("{line}: {ownerlike} owner-like copies"));
-            }
-            let valid = states.iter().filter(|s| s.is_valid()).count();
-            if valid == 0 {
+            if e.mask == 0 {
                 return Err(format!("{line}: empty entry not collected"));
             }
-            let exclusive = states.iter().any(|s| matches!(s, State::M | State::E));
-            if exclusive && valid > 1 {
+            let Some((owner, state)) = e.owner() else {
+                continue;
+            };
+            if e.mask >> owner & 1 == 0 {
+                return Err(format!(
+                    "{line}: owner {owner} outside holder mask {:#x}",
+                    e.mask
+                ));
+            }
+            if matches!(state, State::M | State::E) && e.mask.count_ones() > 1 {
                 return Err(format!("{line}: M/E coexists with other copies"));
-            }
-            // The cached mask and owner are redundant encodings of the
-            // packed states; a disagreement means an update path skipped
-            // the incremental maintenance.
-            let scanned_mask = states
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_valid())
-                .fold(0u64, |m, (n, _)| m | 1u64 << n);
-            if e.mask() != scanned_mask {
-                return Err(format!(
-                    "{line}: cached mask {:#x} != scanned {scanned_mask:#x}",
-                    e.mask()
-                ));
-            }
-            let scanned_owner = states
-                .iter()
-                .enumerate()
-                .find(|(_, s)| s.is_ownerlike())
-                .map(|(n, &s)| (n, s));
-            if e.owner() != scanned_owner {
-                return Err(format!(
-                    "{line}: cached owner {:?} != scanned {scanned_owner:?}",
-                    e.owner()
-                ));
             }
         }
         Ok(())
     }
 
-    /// Test-only: installs a raw entry whose packed states, cached mask,
-    /// and cached owner are set *independently*, bypassing the
-    /// maintenance in [`DuplicateTagDirectory::set_state`] — so tests can
-    /// construct the corrupt configurations (stale mask, stale owner,
-    /// double writer) that `check_invariants` must reject.
+    /// Test-only: installs a raw entry, bypassing the maintenance in
+    /// [`DuplicateTagDirectory::set_state`] — so tests can construct the
+    /// corrupt configurations (owner outside the mask, uncollected empty
+    /// entry, M beside sharers) that `check_invariants` must reject.
     #[cfg(test)]
-    fn install_raw_entry(
-        &mut self,
-        line: LineAddr,
-        states: &[State],
-        cached_mask: u64,
-        cached_owner: Option<(u8, State)>,
-    ) {
-        assert_eq!(states.len(), self.n_nodes);
-        let mut e = Entry::empty(self.n_nodes);
-        for (n, &s) in states.iter().enumerate() {
-            e.set(n, s);
-        }
-        match &mut e {
-            Entry::Small { mask, .. } => {
-                *mask = u16::try_from(cached_mask).expect("small entry mask fits u16");
-            }
-            Entry::Large(le) => le.mask = cached_mask,
-        }
-        e.set_owner(cached_owner);
-        self.entries.insert(line, e);
+    fn install_raw_entry(&mut self, line: LineAddr, mask: u64, owner: Option<(usize, State)>) {
+        let owner = owner.map_or(NO_OWNER, |(n, s)| Entry::pack_owner(n, s));
+        self.entries.insert(line, Entry { mask, owner });
     }
 
     /// Iterates over tracked lines and their (unpacked) state vectors.
@@ -545,8 +433,7 @@ mod tests {
 
     #[test]
     fn large_entries_track_nodes_beyond_sixteen() {
-        // 32 nodes picks the boxed `Entry::Large` layout; exercise every
-        // operation the Small path covers, at node ids above 16.
+        // Every operation at node ids above 16.
         let mut d = DuplicateTagDirectory::new(32);
         assert_eq!(d.set_state(LineAddr::new(7), 31, State::O), State::I);
         d.set_state(LineAddr::new(7), 0, State::S);
@@ -596,105 +483,157 @@ mod tests {
         assert_eq!(d.total_holders(), 2);
     }
 
-    /// Small-form corruption: each distinct `check_invariants` error
-    /// message fires for a deliberately inconsistent packed entry.
+    /// Each distinct `check_invariants` error message fires for a
+    /// deliberately inconsistent entry at a small node count.
     #[test]
     fn small_entry_corruptions_name_each_invariant() {
         let l = LineAddr::new(77);
-        // Two M holders (consistent caches, broken protocol).
+        // Two O holders: the entry keeps only the second (the first
+        // reads as S, a legal O+S line), so only the record shows it.
         let mut d = DuplicateTagDirectory::new(4);
-        d.install_raw_entry(
-            l,
-            &[State::M, State::M, State::I, State::I],
-            0b0011,
-            Some((0, State::M)),
-        );
+        d.set_state(l, 0, State::O);
+        d.set_state(l, 1, State::O);
         let e = d.check_invariants().unwrap_err();
         assert!(e.contains("2 owner-like copies"), "{e}");
 
-        // O holder whose mask bit was dropped (stale cached mask).
+        // O holder whose mask bit was dropped.
         let mut d = DuplicateTagDirectory::new(4);
-        d.install_raw_entry(
-            l,
-            &[State::O, State::S, State::I, State::I],
-            0b0010,
-            Some((0, State::O)),
-        );
+        d.install_raw_entry(l, 0b0010, Some((0, State::O)));
         let e = d.check_invariants().unwrap_err();
-        assert!(e.contains("cached mask"), "{e}");
-
-        // Cached owner pointing at a node that no longer owns.
-        let mut d = DuplicateTagDirectory::new(4);
-        d.install_raw_entry(
-            l,
-            &[State::S, State::S, State::I, State::I],
-            0b0011,
-            Some((1, State::M)),
-        );
-        let e = d.check_invariants().unwrap_err();
-        assert!(e.contains("cached owner"), "{e}");
+        assert!(e.contains("owner 0 outside holder mask"), "{e}");
 
         // All-invalid entry that survived garbage collection.
         let mut d = DuplicateTagDirectory::new(4);
-        d.install_raw_entry(l, &[State::I; 4], 0, None);
+        d.install_raw_entry(l, 0, None);
         let e = d.check_invariants().unwrap_err();
         assert!(e.contains("empty entry not collected"), "{e}");
 
-        // M coexisting with a sharer (caches consistent, SWMR broken).
+        // M coexisting with a sharer (SWMR broken).
         let mut d = DuplicateTagDirectory::new(4);
-        d.install_raw_entry(
-            l,
-            &[State::M, State::S, State::I, State::I],
-            0b0011,
-            Some((0, State::M)),
-        );
+        d.install_raw_entry(l, 0b0011, Some((0, State::M)));
         let e = d.check_invariants().unwrap_err();
         assert!(e.contains("M/E coexists"), "{e}");
     }
 
-    /// The same corruptions through the boxed Large form (> 16 nodes),
-    /// at node ids beyond the Small range.
+    /// The same corruptions above 16 nodes, at node ids beyond 16.
     #[test]
     fn large_entry_corruptions_name_each_invariant() {
         let l = LineAddr::new(88);
         let n = 20;
-        let vec_with = |pairs: &[(usize, State)]| {
-            let mut v = vec![State::I; n];
-            for &(i, s) in pairs {
-                v[i] = s;
-            }
-            v
-        };
 
         let mut d = DuplicateTagDirectory::new(n);
-        d.install_raw_entry(
-            l,
-            &vec_with(&[(17, State::M), (19, State::M)]),
-            1 << 17 | 1 << 19,
-            Some((17, State::M)),
-        );
+        d.set_state(l, 17, State::O);
+        d.set_state(l, 19, State::O);
         let e = d.check_invariants().unwrap_err();
         assert!(e.contains("2 owner-like copies"), "{e}");
 
         let mut d = DuplicateTagDirectory::new(n);
-        d.install_raw_entry(
-            l,
-            &vec_with(&[(18, State::O), (3, State::S)]),
-            1 << 3,
-            Some((18, State::O)),
-        );
+        d.install_raw_entry(l, 1 << 3, Some((18, State::O)));
         let e = d.check_invariants().unwrap_err();
-        assert!(e.contains("cached mask"), "{e}");
+        assert!(e.contains("owner 18 outside holder mask"), "{e}");
 
         let mut d = DuplicateTagDirectory::new(n);
-        d.install_raw_entry(
-            l,
-            &vec_with(&[(2, State::S), (19, State::S)]),
-            1 << 2 | 1 << 19,
-            Some((19, State::M)),
-        );
+        d.install_raw_entry(l, 1 << 2 | 1 << 19, Some((19, State::E)));
         let e = d.check_invariants().unwrap_err();
-        assert!(e.contains("cached owner"), "{e}");
+        assert!(e.contains("M/E coexists"), "{e}");
+    }
+
+    #[test]
+    fn entry_is_at_most_sixteen_bytes() {
+        assert!(std::mem::size_of::<Entry>() <= 16);
+    }
+
+    /// One legal protocol transition applied to a naive per-node state
+    /// vector: the reference the packed directory is compared against.
+    /// Returns the `(node, state)` writes in the order an engine issues
+    /// them — every retiring owner before the new one.
+    fn reference_step(v: &mut [State], node: usize, op: u64) -> Vec<(usize, State)> {
+        let before = v.to_vec();
+        match op % 4 {
+            // Read: a dirty owner keeps supplying as O (MOESI) or
+            // writes back and degrades to S (MESI); E degrades to S.
+            0 | 1 if !v[node].is_valid() => {
+                let forward = op % 4 == 0;
+                let owner = v.iter().position(|s| s.is_ownerlike());
+                let any = v.iter().any(|s| s.is_valid());
+                if let Some(o) = owner {
+                    v[o] = match v[o] {
+                        State::M | State::O if forward => State::O,
+                        _ => State::S,
+                    };
+                }
+                v[node] = if any { State::S } else { State::E };
+            }
+            0 | 1 => {}
+            // Write: invalidate every other holder, take M.
+            2 => {
+                v.iter_mut().for_each(|s| *s = State::I);
+                v[node] = State::M;
+            }
+            // Eviction.
+            _ => v[node] = State::I,
+        }
+        let mut writes: Vec<(usize, State)> = (0..v.len())
+            .filter(|&n| v[n] != before[n])
+            .map(|n| (n, v[n]))
+            .collect();
+        writes.sort_by_key(|&(_, s)| s.is_ownerlike());
+        writes
+    }
+
+    #[test]
+    fn directory_matches_a_naive_state_vector_under_random_legal_transitions() {
+        let mut seed = 0x5EED_u64;
+        let mut next = || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        const LINES: u64 = 6;
+        for n in [4, 16, 20, 64] {
+            let mut d = DuplicateTagDirectory::new(n);
+            let mut model = vec![vec![State::I; n]; LINES as usize];
+            for step in 0..20_000 {
+                let li = next() % LINES;
+                let line = LineAddr::new(li);
+                let v = &mut model[li as usize];
+                let node = (next() % n as u64) as usize;
+                let before = v.clone();
+                for (w, s) in reference_step(v, node, next()) {
+                    assert_eq!(d.set_state(line, w, s), before[w], "n={n} step {step}");
+                }
+                d.check_invariants()
+                    .unwrap_or_else(|e| panic!("n={n} step {step}: {e}"));
+
+                let mask = v
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.is_valid())
+                    .fold(0u64, |m, (i, _)| m | 1 << i);
+                let owner = v.iter().position(|s| s.is_ownerlike()).map(|o| (o, v[o]));
+                for (i, &s) in v.iter().enumerate() {
+                    assert_eq!(d.state_of(line, i), s, "n={n} step {step} node {i}");
+                }
+                assert_eq!(d.lookup_view(line), DirView { mask, owner });
+                assert_eq!(d.holders_mask(line), mask);
+                assert_eq!(d.owner(line), owner.map(|(o, _)| o));
+                let except = (next() % n as u64) as usize;
+                let rest = mask & !(1 << except);
+                assert_eq!(
+                    d.first_holder_except(line, except),
+                    (rest != 0).then(|| rest.trailing_zeros() as usize)
+                );
+                let copies: usize = model
+                    .iter()
+                    .map(|v| v.iter().filter(|s| s.is_valid()).count())
+                    .sum();
+                assert_eq!(d.total_holders(), copies as u64);
+                let live = model.iter().filter(|v| v.iter().any(|s| s.is_valid()));
+                assert_eq!(d.len(), live.count());
+            }
+        }
     }
 
     #[test]
@@ -712,8 +651,8 @@ mod tests {
         let mut d = DuplicateTagDirectory::new(20);
         d.set_state(LineAddr::new(3), 19, State::M);
         assert_eq!(d.lookup_view(LineAddr::new(3)).owner, Some((19, State::M)));
-        // Downgrading the owner clears the cached owner but keeps the
-        // entry; invalidating the last copy collects it.
+        // Downgrading the owner clears the owner but keeps the entry;
+        // invalidating the last copy collects it.
         d.set_state(LineAddr::new(3), 19, State::S);
         assert_eq!(d.lookup_view(LineAddr::new(3)).owner, None);
         assert_eq!(d.holders_mask(LineAddr::new(3)), 1 << 19);

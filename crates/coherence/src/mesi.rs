@@ -17,7 +17,7 @@ use crate::step::{AccessResult, Background, ServedBy, Step};
 use crate::{EP_DIR, EP_FILL, EP_L1, EP_WB};
 use silo_cache::{ReplacementPolicy, SetAssocCache};
 use silo_obs::{Lap, NoProbe};
-use silo_types::{ByteSize, LineAddr, MemRef};
+use silo_types::{set_bits, ByteSize, LineAddr, MemRef};
 
 /// Configuration of the shared-LLC baseline.
 #[derive(Clone, Copy, Debug)]
@@ -416,11 +416,9 @@ impl SharedMesi {
     /// it is superseded by the requester's M copy.
     fn invalidate_holders(&mut self, line: LineAddr, mask: u64) {
         self.stats.invalidations.add(u64::from(mask.count_ones()));
-        for node in 0..self.nodes.len() {
-            if mask & (1u64 << node) != 0 {
-                self.nodes[node].invalidate(line);
-                self.dir.set_state(line, node, State::I);
-            }
+        for node in set_bits(mask) {
+            self.nodes[node].invalidate(line);
+            self.dir.set_state(line, node, State::I);
         }
     }
 

@@ -8,10 +8,25 @@
 //! 41 for shared vaults) that we reproduce from first principles — and a
 //! per-link traffic accounting layer exposes utilization statistics for
 //! the interconnect-pressure discussion of Sec. V-D.
+//!
+//! XY routes are fixed, so [`Mesh::new`] computes all of them once: a
+//! per-pair hop table (`u8`) and every pair's route as a run of `u8`
+//! link ids in one flat list (compressed sparse rows). A
+//! [`Mesh::send`] then bumps the route's links and adds its hops,
+//! with no coordinate arithmetic and no per-hop branching. Meshes are
+//! capped at [`MAX_NODES`] nodes, which bounds a route to 63 hops and
+//! the link ids to 256.
 
 #![forbid(unsafe_code)]
 
 use silo_types::{Cycles, LineAddr};
+
+/// Largest mesh [`Mesh::new`] accepts: the simulator's core limit
+/// (sharer masks are `u64`).
+pub const MAX_NODES: usize = 64;
+
+/// Directed links of the largest mesh, four per node.
+const MAX_LINKS: usize = MAX_NODES * 4;
 
 /// A node coordinate in the mesh.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -37,8 +52,15 @@ pub struct Mesh {
     height: usize,
     hop_cycles: Cycles,
     /// Traffic counter per directed link. Links are indexed as
-    /// `node * 4 + direction` (0=E, 1=W, 2=N, 3=S).
-    link_flits: Vec<u64>,
+    /// `node * 4 + direction` (0=E, 1=W, 2=N, 3=S); sized for the
+    /// largest mesh so a `u8` link id indexes it without a check.
+    link_flits: [u64; MAX_LINKS],
+    /// Hop count of the XY route from `a` to `b`, at `a * nodes + b`.
+    hops: Vec<u8>,
+    /// Where each pair's route starts in `route_links`, same indexing.
+    route_start: Vec<u32>,
+    /// Every pair's route, as the link ids it traverses in order.
+    route_links: Vec<u8>,
     messages: u64,
     total_hops: u64,
 }
@@ -50,18 +72,64 @@ const NORTH: usize = 2;
 const SOUTH: usize = 3;
 
 impl Mesh {
-    /// Creates a mesh of the given dimensions with a per-hop latency.
+    /// Creates a mesh of the given dimensions with a per-hop latency and
+    /// precomputes its XY route table.
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the mesh has more than
+    /// [`MAX_NODES`] nodes.
     pub fn new(width: usize, height: usize, hop_cycles: Cycles) -> Self {
         assert!(width > 0 && height > 0, "mesh dimensions must be positive");
+        let n = width * height;
+        assert!(
+            n <= MAX_NODES,
+            "{width}x{height} mesh exceeds {MAX_NODES} nodes"
+        );
+        let mut hops = Vec::with_capacity(n * n);
+        let mut route_start = Vec::with_capacity(n * n);
+        let mut route_links = Vec::new();
+        for a in 0..n {
+            let (ax, ay) = (a % width, a / width);
+            for b in 0..n {
+                let (bx, by) = (b % width, b / width);
+                let start = route_links.len();
+                route_start.push(u32::try_from(start).expect("route list fits u32"));
+                // X first.
+                let mut x = ax;
+                while x != bx {
+                    let node = ay * width + x;
+                    if bx > x {
+                        route_links.push((node * 4 + EAST) as u8);
+                        x += 1;
+                    } else {
+                        route_links.push((node * 4 + WEST) as u8);
+                        x -= 1;
+                    }
+                }
+                // Then Y.
+                let mut y = ay;
+                while y != by {
+                    let node = y * width + bx;
+                    if by > y {
+                        route_links.push((node * 4 + SOUTH) as u8);
+                        y += 1;
+                    } else {
+                        route_links.push((node * 4 + NORTH) as u8);
+                        y -= 1;
+                    }
+                }
+                hops.push((route_links.len() - start) as u8);
+            }
+        }
         Mesh {
             width,
             height,
             hop_cycles,
-            link_flits: vec![0; width * height * 4],
+            link_flits: [0; MAX_LINKS],
+            hops,
+            route_start,
+            route_links,
             messages: 0,
             total_hops: 0,
         }
@@ -102,11 +170,21 @@ impl Mesh {
         (node.0 % self.width, node.0 / self.width)
     }
 
+    /// Route-table index of the ordered pair `(a, b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    #[inline]
+    fn pair(&self, a: NodeId, b: NodeId) -> usize {
+        let n = self.nodes();
+        assert!(a.0 < n && b.0 < n, "node {a} or {b} out of range");
+        a.0 * n + b.0
+    }
+
     /// Manhattan hop count between two nodes.
     pub fn hops(&self, a: NodeId, b: NodeId) -> u64 {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
+        u64::from(self.hops[self.pair(a, b)])
     }
 
     /// One-way latency between two nodes (zero when `a == b`).
@@ -123,14 +201,8 @@ impl Mesh {
     /// traffic), the quantity behind the paper's "average round trip"
     /// figures.
     pub fn mean_hops(&self) -> f64 {
-        let n = self.nodes();
-        let mut total = 0u64;
-        for a in 0..n {
-            for b in 0..n {
-                total += self.hops(NodeId(a), NodeId(b));
-            }
-        }
-        total as f64 / (n * n) as f64
+        let total: u64 = self.hops.iter().map(|&h| u64::from(h)).sum();
+        total as f64 / self.hops.len() as f64
     }
 
     /// Home node for a line under address interleaving (scrambled so
@@ -141,37 +213,21 @@ impl Mesh {
 
     /// Sends a message from `a` to `b`, recording traffic on every XY
     /// link traversed, and returns the one-way latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    #[inline]
     pub fn send(&mut self, a: NodeId, b: NodeId) -> Cycles {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        // X first.
-        let mut x = ax;
-        while x != bx {
-            let node = ay * self.width + x;
-            if bx > x {
-                self.link_flits[node * 4 + EAST] += 1;
-                x += 1;
-            } else {
-                self.link_flits[node * 4 + WEST] += 1;
-                x -= 1;
-            }
-        }
-        // Then Y.
-        let mut y = ay;
-        while y != by {
-            let node = y * self.width + bx;
-            if by > y {
-                self.link_flits[node * 4 + SOUTH] += 1;
-                y += 1;
-            } else {
-                self.link_flits[node * 4 + NORTH] += 1;
-                y -= 1;
-            }
+        let pair = self.pair(a, b);
+        let hops = self.hops[pair];
+        let start = self.route_start[pair] as usize;
+        for &link in &self.route_links[start..start + usize::from(hops)] {
+            self.link_flits[usize::from(link)] += 1;
         }
         self.messages += 1;
-        let hops = self.hops(a, b);
-        self.total_hops += hops;
-        self.hop_cycles * hops
+        self.total_hops += u64::from(hops);
+        self.hop_cycles * u64::from(hops)
     }
 
     /// Messages sent through [`send`](Self::send).
@@ -189,17 +245,22 @@ impl Mesh {
     /// telemetry subsystem can difference consecutive snapshots into
     /// per-epoch link utilization.
     pub fn link_flits(&self) -> &[u64] {
-        &self.link_flits
+        &self.link_flits[..self.nodes() * 4]
     }
 
     /// Flits carried by the busiest link.
     pub fn max_link_flits(&self) -> u64 {
-        self.link_flits.iter().copied().max().unwrap_or(0)
+        self.link_flits().iter().copied().max().unwrap_or(0)
     }
 
     /// Mean flits per link over links that carried any traffic.
     pub fn mean_link_flits(&self) -> f64 {
-        let used: Vec<u64> = self.link_flits.iter().copied().filter(|&f| f > 0).collect();
+        let used: Vec<u64> = self
+            .link_flits()
+            .iter()
+            .copied()
+            .filter(|&f| f > 0)
+            .collect();
         if used.is_empty() {
             0.0
         } else {
@@ -309,6 +370,85 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_node_panics() {
         Mesh::paper_16core().coords(NodeId(16));
+    }
+
+    /// Hop-by-hop XY walk from `a` to `b`: the link ids in order.
+    fn reference_route(width: usize, a: usize, b: usize) -> Vec<usize> {
+        let (ax, ay) = (a % width, a / width);
+        let (bx, by) = (b % width, b / width);
+        let mut links = Vec::new();
+        let mut x = ax;
+        while x != bx {
+            let node = ay * width + x;
+            if bx > x {
+                links.push(node * 4 + EAST);
+                x += 1;
+            } else {
+                links.push(node * 4 + WEST);
+                x -= 1;
+            }
+        }
+        let mut y = ay;
+        while y != by {
+            let node = y * width + bx;
+            if by > y {
+                links.push(node * 4 + SOUTH);
+                y += 1;
+            } else {
+                links.push(node * 4 + NORTH);
+                y -= 1;
+            }
+        }
+        links
+    }
+
+    #[test]
+    fn route_table_matches_a_hop_by_hop_xy_walk() {
+        for (w, h) in [
+            (1, 1),
+            (1, 7),
+            (2, 4),
+            (3, 3),
+            (4, 5),
+            (8, 8),
+            (1, 64),
+            (64, 1),
+        ] {
+            let n = w * h;
+            let mut m = Mesh::new(w, h, Cycles(3));
+            let mut flits = vec![0u64; n * 4];
+            let mut total_hops = 0u64;
+            for a in 0..n {
+                for b in 0..n {
+                    let route = reference_route(w, a, b);
+                    for &l in &route {
+                        flits[l] += 1;
+                    }
+                    total_hops += route.len() as u64;
+                    let (a, b) = (NodeId(a), NodeId(b));
+                    let lat = Cycles(3 * route.len() as u64);
+                    assert_eq!(m.send(a, b), lat, "{w}x{h} {a}->{b}");
+                    assert_eq!(m.latency(a, b), lat);
+                    assert_eq!(m.hops(a, b), route.len() as u64);
+                    assert_eq!(m.round_trip(a, b), m.latency(a, b) * 2);
+                    assert_eq!(m.link_flits(), &flits[..], "{w}x{h} {a}->{b}");
+                    assert_eq!(m.total_hops(), total_hops);
+                }
+            }
+            assert_eq!(m.messages(), (n * n) as u64);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 64 nodes")]
+    fn meshes_beyond_the_route_table_are_rejected() {
+        Mesh::new(5, 13, Cycles(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn send_checks_bounds() {
+        Mesh::new(2, 2, Cycles(1)).send(NodeId(0), NodeId(4));
     }
 
     #[test]

@@ -25,7 +25,10 @@ USAGE:
                                  zipf-shared/uniform-private/pointer-chase,
                                  8 cores, seed 42) and report refs/sec.
                                  Options: --refs N (refs/core, default
-                                 20000), --threads N, --label S,
+                                 20000), --threads N (default 1: on a
+                                 2-vCPU host, 2 worker threads contend
+                                 and roughly halve per-cell refs/sec),
+                                 --label S,
                                  --json PATH (append a snapshot to a
                                  silo-hotloop/v1 trajectory file),
                                  --compare PATH (print refs/sec deltas vs
@@ -440,7 +443,10 @@ fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
     use silo_sim::bench::throughput;
 
     let mut refs: usize = 20_000;
-    let mut threads = std::thread::available_parallelism().map_or(4, usize::from);
+    // One worker by default: concurrent cells share the host's caches
+    // and memory bandwidth, which skews per-cell refs/sec (about half on
+    // a 2-vCPU host at 2 threads).
+    let mut threads = 1;
     let mut label: Option<String> = None;
     let mut json: Option<PathBuf> = None;
     let mut compare: Option<PathBuf> = None;

@@ -14,7 +14,7 @@ use silo_coherence::{AccessResult, Background, Step};
 use silo_dram::BankArray;
 use silo_noc::{Mesh, NodeId};
 use silo_obs::{Lap, LapProbe, NoProbe};
-use silo_types::{Cycles, LineAddr};
+use silo_types::{set_bits, Cycles, LineAddr};
 
 /// Labels of the timing sub-phases [`TimingModel::charge_probed`] and
 /// the run loop's MSHR accounting attribute into, in bucket order.
@@ -174,12 +174,10 @@ impl TimingModel {
             Step::Invalidations { home, mask } => {
                 // Parallel round: the farthest round trip plus one probe.
                 let mut worst = Cycles::ZERO;
-                for node in 0..self.mesh.nodes() {
-                    if mask & (1u64 << node) != 0 {
-                        self.mesh.send(NodeId(home), NodeId(node));
-                        self.mesh.send(NodeId(node), NodeId(home));
-                        worst = worst.max(self.mesh.round_trip(NodeId(home), NodeId(node)));
-                    }
+                for node in set_bits(mask) {
+                    let there = self.mesh.send(NodeId(home), NodeId(node));
+                    let back = self.mesh.send(NodeId(node), NodeId(home));
+                    worst = worst.max(there + back);
                 }
                 t + worst + self.l1_probe
             }

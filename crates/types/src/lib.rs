@@ -39,6 +39,25 @@ pub const LINE_SIZE: usize = 64;
 /// log2 of [`LINE_SIZE`].
 pub const LINE_SHIFT: u32 = 6;
 
+/// Iterates the positions of the set bits of `mask`, lowest first: the
+/// node ids of a sharer mask, without visiting the clear ones.
+///
+/// ```
+/// let nodes: Vec<usize> = silo_types::set_bits(0b1010_0001).collect();
+/// assert_eq!(nodes, [0, 5, 7]);
+/// ```
+#[inline]
+pub fn set_bits(mask: u64) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            bit
+        })
+    })
+}
+
 /// A physical byte address in the simulated machine.
 ///
 /// Addresses are plain 64-bit values; the workload generators carve the
