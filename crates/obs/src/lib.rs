@@ -36,23 +36,3 @@ pub use metrics::{Counter, Gauge, Histo, Registry};
 pub use probe::{Lap, LapProbe, NoProbe};
 pub use profile::PhaseProfile;
 pub use trace::{Span, SpanRecorder};
-
-/// Escapes a string for embedding in a JSON string literal (shared by
-/// the trace-event and profile exporters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}

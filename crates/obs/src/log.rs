@@ -13,7 +13,7 @@
 //! Like the other observability engines, the log never touches simulated
 //! state: it records what the *host* process did, when.
 
-use crate::json_escape;
+use silo_types::json_escape;
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::Write;

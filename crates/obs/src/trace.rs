@@ -13,7 +13,7 @@
 //! daemon spans routinely start on one thread (enqueue) and finish on
 //! another (worker), where scope-guard APIs mislead.
 
-use crate::json_escape;
+use silo_types::json_escape;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

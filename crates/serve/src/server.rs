@@ -1017,7 +1017,7 @@ fn error_response(
     status: u16,
     message: &str,
 ) -> io::Result<u16> {
-    let body = format!("{{\"error\":\"{}\"}}\n", http::json_escape(message));
+    let body = format!("{{\"error\":\"{}\"}}\n", silo_types::json_escape(message));
     respond(ctx, w, status, "application/json", &body)
 }
 
@@ -1256,7 +1256,10 @@ fn handle_job_status<E: JobEngine>(
     let (state, error) = match &job.phase {
         JobPhase::Active => ("active", String::new()),
         JobPhase::Complete => ("complete", String::new()),
-        JobPhase::Failed(e) => ("failed", format!(",\"error\":\"{}\"", http::json_escape(e))),
+        JobPhase::Failed(e) => (
+            "failed",
+            format!(",\"error\":\"{}\"", silo_types::json_escape(e)),
+        ),
     };
     let body = format!(
         "{{\"job\":{id},\"state\":\"{state}\",\"points\":{},\"done\":{},\
@@ -1404,10 +1407,10 @@ fn handle_stream<E: JobEngine>(
                 let chunk = if epoch_mode {
                     format!(
                         "{{\"type\":\"error\",\"error\":\"{}\"}}\n",
-                        http::json_escape(&e)
+                        silo_types::json_escape(&e)
                     )
                 } else {
-                    format!("{{\"error\":\"{}\"}}\n", http::json_escape(&e))
+                    format!("{{\"error\":\"{}\"}}\n", silo_types::json_escape(&e))
                 };
                 shared.metrics.stream_bytes.add(chunk.len() as u64);
                 http::write_chunk(w, &chunk)?;

@@ -16,9 +16,10 @@
 //! the point's swept dimensions, the fully resolved
 //! [`crate::config::SystemConfig`],
 //! and the workload — with replay workloads described by the SHA-256
-//! of their trace file *bytes*, not their path. Thread count and the
-//! `--check` oracle period are deliberately excluded: both are
-//! documented to leave results bit-identical.
+//! of their trace file *bytes*, not their path. Thread count, the
+//! `--check` oracle period and the profiler switch are deliberately
+//! excluded: all three are documented to leave results bit-identical,
+//! and a test holds every other simulation key to changing the keys.
 //!
 //! [`document_from_rows`] is the inverse companion: it rebuilds a full
 //! `silo-bench/v1` document from cached row strings, byte-identical to
@@ -288,6 +289,31 @@ systems = SILO,baseline
         let base = sweep_hash(&spec).expect("hash");
         spec.mode = crate::run::RunMode::Checked(std::num::NonZeroU64::new(100).expect("nonzero"));
         assert_eq!(base, sweep_hash(&spec).expect("hash"));
+    }
+
+    #[test]
+    fn every_key_changes_point_keys_or_is_declared_row_neutral() {
+        // Documented to leave every row bit-identical, so deliberately
+        // absent from the descriptor. A new key must either change the
+        // point keys or be added here; otherwise the daemon would serve
+        // rows cached under the old value.
+        const ROW_NEUTRAL: [&str; 3] = ["threads", "check", "profile"];
+        let keys = crate::scenario::KEYS;
+        for name in ROW_NEUTRAL {
+            assert!(keys.iter().any(|k| k.name == name), "no key '{name}'");
+        }
+        let default = point_keys(&spec_from("")).expect("keys");
+        for key in keys {
+            let spec = spec_from(&format!("{} = {}\n", key.name, key.example));
+            let changed = point_keys(&spec).expect("keys") != default;
+            let neutral = ROW_NEUTRAL.contains(&key.name);
+            assert!(
+                changed != neutral,
+                "key '{}' = {}: changes point keys {changed}, declared row-neutral {neutral}",
+                key.name,
+                key.example
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! * [`builder`] — [`Simulation::builder`] composes configs, systems,
 //!   workloads, and sweep axes; `build()` returns typed
 //!   [`ConfigError`]s instead of panicking.
-//! * [`scenario`] — a dependency-free `key = value` scenario-file
-//!   format describing a whole comparison, loaded via `--scenario`.
+//! * [`scenario`] — the table of simulation keys ([`scenario::KEYS`])
+//!   and the [`Scenario`] record generated from it, read from a
+//!   dependency-free `key = value` file (`--scenario`) or from the
+//!   `silo-sim` flags that spell the same keys.
 //!
 //! Every simulation goes through one loop with one entry point:
 //! [`run()`] drives a [`Protocol`] engine and its [`TimingModel`] over a

@@ -100,53 +100,17 @@ USAGE:
                                  --json PATH (write silo-check/v1 JSON)
 
 OPTIONS:
-    --scenario FILE      load a declarative scenario file (key = value:
-                         systems, workloads, cores, scale, mlp, vault,
-                         seed, refs, threads, warmup, epoch, check,
-                         profile); flags override it
-    --systems a,b,c      systems to compare (default SILO,baseline;
-                         see --list-systems)
-    --cores N            cores / mesh nodes (default 16, max 64)
-    --refs N             references per core (default: per-workload preset)
-    --scale N            capacity scaling factor for caches AND working
-                         sets (default 64; 1 = full 256 MiB vaults)
-    --seed N             workload RNG seed (default 42)
-    --mlp N              MSHRs per core (default 8)
-    --workloads a,b,c    comma-separated workloads: presets, custom
-                         specs like zipf:theta=0.9,footprint=4x, or
-                         trace:file=PATH to replay a .silotrace capture
-    --record-traces DIR  capture every generated (workload, cores,
+";
+
+/// The non-key rows of `--help`, after the generated key rows.
+const USAGE_TAIL: &str = "    --record-traces DIR  capture every generated (workload, cores,
                          scale) combination of this run to
                          DIR/<name>-c<cores>-s<scale>.silotrace before
                          running; replay later with trace:file=PATH
-    --vault-design KIND  derive the vault from the silo-dram sweep:
-                         'latency' (256 MiB-class), 'capacity'
-                         (512 MiB-class), or 'table2' (the Table II
-                         constants, default)
-    --warmup N           telemetry: treat the first N references (summed
-                         across cores) as cache warmup — measurement
-                         counters reset, simulated state is kept (0 = off)
-    --epoch N            telemetry: record a timeline epoch every N
-                         references (IPC, served levels, LLC latency
-                         percentiles, link utilization, vault occupancy)
     --timeline PATH      write the per-epoch timeline CSV (needs --epoch
                          or a scenario 'epoch =' key)
-    --check N            run-time invariant oracle: every N references,
-                         re-verify the engine's structural invariants
-                         (directory consistency, occupancy accounting)
-                         and the run loop's cross-layer assertions
-                         (MSHR bounds, counter monotonicity); results
-                         stay bit-identical to an unchecked run
     --log FILE           append structured NDJSON event records (run
                          start, sweep done, outputs written) to FILE
-    --profile            hot-loop self-profiler: sample per-phase
-                         wall-clock (trace pull, engine step, timing,
-                         telemetry) for every run, attribute engine and
-                         timing time to lap-probe sub-phases (lookup /
-                         directory / fill / writeback and mesh / bank /
-                         mshr), and print the phase tree; results stay
-                         bit-identical to an unprofiled run (mutually
-                         exclusive with --check)
     --profile-json PATH  write the per-run phase profiles as
                          silo-profile/v1 JSON (implies --profile)
     --profile-trace PATH write the merged phase profile as Chrome
@@ -157,48 +121,28 @@ OPTIONS:
                          grammar, then exit (alias: --list)
     --help               show this help
 
-SWEEP MODE (any --sweep* flag enables it):
-    --sweep              sweep the cartesian product of the dimensions
-                         below across worker threads
-    --sweep-cores LIST   core counts, e.g. 4,8,16 (default: --cores)
-    --sweep-scale LIST   scale factors, e.g. 32,64 (default: --scale)
-    --sweep-mlp LIST     MSHR counts, e.g. 4,8 (default: --mlp)
-    --sweep-vault LIST   vault designs from {table2,latency,capacity}
-                         (default: --vault-design)
-    --threads N          worker threads (default: available parallelism,
-                         at least 4)
+    Every key flag takes the same value as its scenario key, lists
+    included; giving one key twice is an error.
+
+SWEEP MODE (on when any axis has two or more values):
+    --sweep              print one compact row per (point, system), even
+                         for a single point; every --sweep-* alias above
+                         also turns it on
     --json PATH          write silo-bench/v1 JSON (works in both modes)
 ";
 
-/// Everything the flag parser collects; `None` means "not given", so
-/// scenario-file settings survive unless explicitly overridden.
+/// The non-key flags; every simulation key is read by
+/// [`Scenario::apply_flag`] into a second [`Scenario`].
 #[derive(Default)]
 struct Cli {
     scenario: Option<PathBuf>,
-    systems: Option<Vec<String>>,
-    workloads: Option<Vec<String>>,
-    cores: Option<usize>,
-    refs: Option<usize>,
-    scale: Option<u64>,
-    seed: Option<u64>,
-    mlp: Option<usize>,
-    vault: Option<String>,
     sweep: bool,
-    sweep_cores: Option<Vec<usize>>,
-    sweep_scales: Option<Vec<u64>>,
-    sweep_mlps: Option<Vec<usize>>,
-    sweep_vaults: Option<Vec<String>>,
-    threads: Option<usize>,
     json: Option<PathBuf>,
-    warmup: Option<u64>,
-    epoch: Option<u64>,
-    check: Option<u64>,
+    timeline: Option<PathBuf>,
     log: Option<PathBuf>,
-    profile: bool,
+    record_traces: Option<PathBuf>,
     profile_json: Option<PathBuf>,
     profile_trace: Option<PathBuf>,
-    timeline: Option<PathBuf>,
-    record_traces: Option<PathBuf>,
 }
 
 fn bad(what: &str, value: impl Into<String>, reason: impl Into<String>) -> ConfigError {
@@ -215,40 +159,12 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Resul
         .map_err(|_| bad(flag, v.clone(), "not a valid value"))
 }
 
-/// Parses a comma-separated list, skipping empty segments (so `a,,b`
-/// and trailing commas are fine).
-fn parse_name_list(flag: &str, value: Option<String>) -> Result<Vec<String>, ConfigError> {
-    let raw: String = parse_value(flag, value)?;
-    let out: Vec<String> = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(str::to_string)
-        .collect();
-    if out.is_empty() {
-        return Err(bad(flag, raw, "needs at least one value"));
-    }
-    Ok(out)
-}
-
-fn parse_num_list<T: std::str::FromStr>(
-    flag: &str,
-    value: Option<String>,
-) -> Result<Vec<T>, ConfigError> {
-    let names = parse_name_list(flag, value)?;
-    names
-        .iter()
-        .map(|n| {
-            n.parse()
-                .map_err(|_| bad(flag, n.clone(), "not a valid number"))
-        })
-        .collect()
-}
-
-/// Parses the argument vector. Returns `None` when a `--list*` / `--help`
+/// Parses the argument vector into the non-key flags and the keys the
+/// flags set. Returns `None` when a subcommand or a `--list*` / `--help`
 /// flag already handled the invocation.
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, ConfigError> {
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<(Cli, Scenario)>, ConfigError> {
     let mut cli = Cli::default();
+    let mut flags = Scenario::default();
     let mut args = args;
     let mut first = true;
     while let Some(arg) = args.next() {
@@ -275,70 +191,21 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, ConfigE
                 return Ok(None);
             }
         }
+        if flags.apply_flag(&arg, &mut args)?.is_some() {
+            // `--sweep-cores` and its siblings alias their keys' flags.
+            cli.sweep |= arg.starts_with("--sweep-");
+            continue;
+        }
+        let mut path = || parse_value::<PathBuf>(&arg, args.next());
         match arg.as_str() {
-            "--scenario" => {
-                let p: String = parse_value("--scenario", args.next())?;
-                cli.scenario = Some(PathBuf::from(p));
-            }
-            "--systems" => cli.systems = Some(parse_name_list("--systems", args.next())?),
-            "--workloads" => {
-                let raw: String = parse_value("--workloads", args.next())?;
-                cli.workloads = Some(WorkloadSpec::split_list(&raw)?);
-            }
-            "--cores" => cli.cores = Some(parse_value("--cores", args.next())?),
-            "--refs" => cli.refs = Some(parse_value("--refs", args.next())?),
-            "--scale" => cli.scale = Some(parse_value("--scale", args.next())?),
-            "--seed" => cli.seed = Some(parse_value("--seed", args.next())?),
-            "--mlp" => cli.mlp = Some(parse_value("--mlp", args.next())?),
-            "--vault-design" => cli.vault = Some(parse_value("--vault-design", args.next())?),
+            "--scenario" => cli.scenario = Some(path()?),
             "--sweep" => cli.sweep = true,
-            "--sweep-cores" => {
-                cli.sweep_cores = Some(parse_num_list("--sweep-cores", args.next())?);
-                cli.sweep = true;
-            }
-            "--sweep-scale" => {
-                cli.sweep_scales = Some(parse_num_list("--sweep-scale", args.next())?);
-                cli.sweep = true;
-            }
-            "--sweep-mlp" => {
-                cli.sweep_mlps = Some(parse_num_list("--sweep-mlp", args.next())?);
-                cli.sweep = true;
-            }
-            "--sweep-vault" => {
-                cli.sweep_vaults = Some(parse_name_list("--sweep-vault", args.next())?);
-                cli.sweep = true;
-            }
-            "--threads" => cli.threads = Some(parse_value("--threads", args.next())?),
-            "--json" => {
-                let p: String = parse_value("--json", args.next())?;
-                cli.json = Some(PathBuf::from(p));
-            }
-            "--warmup" => cli.warmup = Some(parse_value("--warmup", args.next())?),
-            "--epoch" => cli.epoch = Some(parse_value("--epoch", args.next())?),
-            "--check" => cli.check = Some(parse_value("--check", args.next())?),
-            "--log" => {
-                let p: String = parse_value("--log", args.next())?;
-                cli.log = Some(PathBuf::from(p));
-            }
-            "--profile" => cli.profile = true,
-            "--profile-json" => {
-                let p: String = parse_value("--profile-json", args.next())?;
-                cli.profile_json = Some(PathBuf::from(p));
-                cli.profile = true;
-            }
-            "--profile-trace" => {
-                let p: String = parse_value("--profile-trace", args.next())?;
-                cli.profile_trace = Some(PathBuf::from(p));
-                cli.profile = true;
-            }
-            "--timeline" => {
-                let p: String = parse_value("--timeline", args.next())?;
-                cli.timeline = Some(PathBuf::from(p));
-            }
-            "--record-traces" => {
-                let p: String = parse_value("--record-traces", args.next())?;
-                cli.record_traces = Some(PathBuf::from(p));
-            }
+            "--json" => cli.json = Some(path()?),
+            "--log" => cli.log = Some(path()?),
+            "--profile-json" => cli.profile_json = Some(path()?),
+            "--profile-trace" => cli.profile_trace = Some(path()?),
+            "--timeline" => cli.timeline = Some(path()?),
+            "--record-traces" => cli.record_traces = Some(path()?),
             "--list-systems" => {
                 list_systems();
                 return Ok(None);
@@ -348,7 +215,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, ConfigE
                 return Ok(None);
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{USAGE}{}{USAGE_TAIL}", silo_sim::scenario::options_help());
                 return Ok(None);
             }
             "--version" | "-V" => {
@@ -364,7 +231,12 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, ConfigE
             }
         }
     }
-    Ok(Some(cli))
+    // Implying the profile key is not giving it, so this never collides
+    // with an explicit --profile.
+    if cli.profile_json.is_some() || cli.profile_trace.is_some() {
+        flags.profile.get_or_insert(true);
+    }
+    Ok(Some((cli, flags)))
 }
 
 fn list_systems() {
@@ -745,7 +617,11 @@ fn run_check(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> 
     let mut json: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--systems" => systems = parse_name_list("--systems", args.next())?,
+            "--systems" => {
+                let mut flags = Scenario::default();
+                flags.apply_flag(&arg, &mut args)?;
+                systems = flags.systems.unwrap_or(systems);
+            }
             "--nodes" => params.nodes = parse_value("--nodes", args.next())?,
             "--max-states" => params.max_states = parse_value("--max-states", args.next())?,
             "--json" => json = Some(PathBuf::from(parse_value::<String>("--json", args.next())?)),
@@ -936,85 +812,38 @@ fn check_json(
     ])
 }
 
-/// Assembles the builder from scenario + flags (flags win) and builds.
-fn build_simulation(cli: &Cli) -> Result<Simulation, ConfigError> {
-    let mut b = Simulation::builder();
-    if let Some(path) = &cli.scenario {
-        b = b.scenario(&Scenario::load(path)?);
-    }
-    if let Some(systems) = &cli.systems {
-        b = b.systems(systems.clone());
-    }
-    if let Some(workloads) = &cli.workloads {
-        b = b.workloads(workloads.clone());
-    }
-    // Sweep lists win over their single-value counterparts.
-    if let Some(cores) = &cli.sweep_cores {
-        b = b.cores(cores.iter().copied());
-    } else if let Some(cores) = cli.cores {
-        b = b.cores([cores]);
-    }
-    if let Some(scales) = &cli.sweep_scales {
-        b = b.scales(scales.iter().copied());
-    } else if let Some(scale) = cli.scale {
-        b = b.scales([scale]);
-    }
-    if let Some(mlps) = &cli.sweep_mlps {
-        b = b.mlps(mlps.iter().copied());
-    } else if let Some(mlp) = cli.mlp {
-        b = b.mlps([mlp]);
-    }
-    if let Some(vaults) = &cli.sweep_vaults {
-        b = b.vault_designs(vaults.clone());
-    } else if let Some(vault) = &cli.vault {
-        b = b.vault_designs([vault.clone()]);
-    }
-    if let Some(seed) = cli.seed {
-        b = b.seed(seed);
-    }
-    if let Some(refs) = cli.refs {
-        b = b.refs_per_core(refs);
-    }
-    if let Some(threads) = cli.threads {
-        b = b.threads(threads);
-    }
-    if let Some(warmup) = cli.warmup {
-        b = b.warmup_refs(warmup);
-    }
-    if let Some(epoch) = cli.epoch {
-        b = b.epoch_refs(epoch);
-    }
-    if let Some(check) = cli.check {
-        b = b.check_every(check);
-    }
-    if cli.profile {
-        b = b.profile(true);
-    }
-    let sim = b.build()?;
-    if cli.timeline.is_some() && sim.spec().meter.epoch_refs.is_none() {
-        return Err(ConfigError::BadValue {
-            what: "--timeline".into(),
-            value: cli
-                .timeline
-                .as_ref()
-                .map(|p| p.display().to_string())
-                .unwrap_or_default(),
-            reason: "needs --epoch (or a scenario 'epoch =' key) to sample epochs".into(),
-        });
+/// Builds from the scenario file with the flags' keys merged over it.
+fn build_simulation(cli: &Cli, flags: &Scenario) -> Result<Simulation, ConfigError> {
+    let file = match &cli.scenario {
+        Some(path) => Scenario::load(path)?,
+        None => Scenario::default(),
+    };
+    let sim = Simulation::builder()
+        .scenario(&file)
+        .scenario(flags)
+        .build()?;
+    if let Some(path) = &cli.timeline {
+        if sim.spec().meter.epoch_refs.is_none() {
+            return Err(bad(
+                "--timeline",
+                path.display().to_string(),
+                "needs --epoch (or a scenario 'epoch =' key) to sample epochs",
+            ));
+        }
     }
     Ok(sim)
 }
 
 fn main() {
-    let cli = match parse_args(std::env::args().skip(1)) {
-        Ok(Some(cli)) => cli,
+    let (cli, flags) = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(parsed)) => parsed,
         Ok(None) => return,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(2);
         }
     };
-    let sim = match build_simulation(&cli) {
+    let sim = match build_simulation(&cli, &flags) {
         Ok(sim) => sim,
         Err(e) => {
             eprintln!("error: {e}");
@@ -1101,7 +930,7 @@ fn main() {
             }
         }
     }
-    if cli.profile {
+    if flags.profile == Some(true) {
         print_profile(&records);
     }
     if let Some(path) = &cli.profile_json {

@@ -509,28 +509,6 @@ impl WorkloadSpec {
         Ok(items)
     }
 
-    /// Parses a comma-separated list of workload specs (presets and
-    /// custom parameterizations), rejecting duplicates by name.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WorkloadSpec::parse`] errors and returns
-    /// [`ConfigError::Duplicate`] for repeated names.
-    pub fn parse_list(raw: &str) -> Result<Vec<WorkloadSpec>, ConfigError> {
-        let mut out: Vec<WorkloadSpec> = Vec::new();
-        for item in Self::split_list(raw)? {
-            let w = Self::parse(&item)?;
-            if out.iter().any(|o| o.name == w.name) {
-                return Err(ConfigError::Duplicate {
-                    what: "workload",
-                    name: w.name,
-                });
-            }
-            out.push(w);
-        }
-        Ok(out)
-    }
-
     /// Generates the per-core reference streams, deterministically from
     /// `seed`, fully materialized. Region sizes are divided by `scale`
     /// (matching the cache scaling of the systems), flooring at one
@@ -980,15 +958,6 @@ mod tests {
         let w = WorkloadSpec::parse_with_default_refs("trace:file=caps/a.silotrace", Some(9_000))
             .expect("parses");
         assert_eq!(w.refs_per_core, 0, "resolved from the file at build time");
-    }
-
-    #[test]
-    fn parse_list_rejects_duplicates() {
-        assert!(WorkloadSpec::parse_list("zipf-shared,code-heavy").is_ok());
-        assert!(matches!(
-            WorkloadSpec::parse_list("zipf-shared,zipf-shared"),
-            Err(ConfigError::Duplicate { .. })
-        ));
     }
 
     #[test]

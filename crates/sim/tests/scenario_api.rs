@@ -4,9 +4,10 @@
 //! invocations, and malformed input must produce typed errors, never
 //! panics.
 
+use silo_sim::scenario::{options_help, ValueKind, KEYS};
 use silo_sim::{
-    run, run_system, AnyEngine, ConfigError, RunOptions, RunStats, Scenario, Simulation,
-    SystemConfig, SystemRegistry, WorkloadSpec,
+    canon, run, run_system, AnyEngine, ConfigError, MeterConfig, RunMode, RunOptions, RunStats,
+    Scenario, Simulation, SystemConfig, SystemRegistry, WorkloadSpec,
 };
 use std::path::Path;
 
@@ -239,5 +240,71 @@ fn example_scenario_file_parses_builds_and_runs() {
         for run in &r.runs {
             assert_eq!(run.telemetry.timeline.total_refs(), 600);
         }
+    }
+}
+
+/// What a settings record builds to, as far as results can tell: every
+/// point's cache key, the run mode, the meter, and the thread count.
+fn built(s: &Scenario) -> (Vec<String>, RunMode, MeterConfig, usize) {
+    let sim = Simulation::builder()
+        .scenario(s)
+        .build()
+        .expect("examples build");
+    let spec = sim.spec();
+    let keys = canon::point_keys(spec).expect("no trace files");
+    (keys, spec.mode, spec.meter, sim.threads())
+}
+
+/// The command line that gives `key` its example value through `flag`.
+fn flag_args(flag: &str, kind: ValueKind, example: &str) -> Vec<String> {
+    if kind == ValueKind::Bool {
+        vec![flag.to_string()]
+    } else {
+        vec![flag.to_string(), example.to_string()]
+    }
+}
+
+#[test]
+fn every_flag_spelling_builds_what_its_scenario_line_builds() {
+    for key in KEYS {
+        let line = format!("{} = {}\n", key.name, key.example);
+        let from_line = Scenario::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let want = built(&from_line);
+        for flag in key.flags {
+            let from_flag = Scenario::from_args(flag_args(flag, key.kind, key.example))
+                .unwrap_or_else(|e| panic!("{flag}: {e}"));
+            assert_eq!(from_flag, from_line, "{flag} parses apart from '{line}'");
+            assert_eq!(built(&from_flag), want, "{flag} builds apart from '{line}'");
+        }
+    }
+}
+
+#[test]
+fn help_names_every_key_and_flag() {
+    let help = options_help();
+    for key in KEYS {
+        assert!(help.contains(key.name), "--help omits key '{}'", key.name);
+        for flag in key.flags {
+            assert!(help.contains(flag), "--help omits {flag}");
+        }
+    }
+}
+
+#[test]
+fn a_key_given_twice_is_rejected_in_both_forms() {
+    for key in KEYS.iter().filter(|k| k.kind != ValueKind::Workload) {
+        let line = format!("{} = {}\n", key.name, key.example);
+        let err = Scenario::parse(&line.repeat(2)).expect_err(key.name);
+        assert!(err.to_string().contains("duplicate key"), "{err}");
+        // The primary spelling then its last alias: the same key either way.
+        let (first, last) = (key.flags[0], key.flags[key.flags.len() - 1]);
+        let mut args = flag_args(first, key.kind, key.example);
+        args.extend(flag_args(last, key.kind, key.example));
+        let err = Scenario::from_args(args).expect_err(first);
+        assert!(
+            matches!(&err, ConfigError::BadValue { what, .. } if what == last),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("duplicate key"), "{err}");
     }
 }

@@ -477,6 +477,44 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
+/// Writes `s` escaped for the inside of a JSON string literal: quote
+/// and backslash, `\n`, `\r` and `\t` by name, and every other control
+/// character as `\u00XX`. Runs of plain characters are written whole.
+///
+/// # Errors
+///
+/// Propagates the writer's errors.
+pub fn write_json_escaped(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
+    let mut plain = 0;
+    for (i, c) in s.char_indices() {
+        if !matches!(c, '"' | '\\') && u32::from(c) >= 0x20 {
+            continue;
+        }
+        out.write_str(&s[plain..i])?;
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{:04x}", u32::from(c))?,
+        }
+        plain = i + c.len_utf8();
+    }
+    out.write_str(&s[plain..])
+}
+
+/// [`write_json_escaped`] into a new string.
+///
+/// ```
+/// assert_eq!(silo_types::json_escape("a\"b\\c\nd\u{1}é"), "a\\\"b\\\\c\\nd\\u0001é");
+/// ```
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    write_json_escaped(&mut out, s).expect("writing to a String cannot fail");
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
