@@ -34,16 +34,9 @@ use std::time::Instant;
 /// Version tag of the emitted JSON schema.
 pub const SCHEMA: &str = "silo-bench/v1";
 
-/// Version tag of the hot-loop throughput trajectory schema
-/// (`BENCH_hotloop.json`, written by [`throughput`]).
-pub const SCHEMA_HOTLOOP: &str = "silo-hotloop/v1";
-
 /// Version tag of the hot-loop self-profiler schema
 /// (`--profile-json`, rendered by [`profile_json`]).
 pub const SCHEMA_PROFILE: &str = "silo-profile/v1";
-
-pub mod gate;
-pub mod throughput;
 
 /// The swept dimensions. Single-element vectors degenerate to a classic
 /// per-workload comparison run.
@@ -346,11 +339,7 @@ pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Vec<BenchRecord> {
 /// Maps `f` over `items` on up to `threads` OS threads (work-stealing
 /// off a shared index) and returns the results in item order, exactly
 /// as a sequential map would.
-pub(crate) fn par_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
+fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let workers = threads.clamp(1, items.len().max(1));
     if workers == 1 {
         return items.iter().map(f).collect();

@@ -1,6 +1,7 @@
 //! Minimal hand-rolled JSON tree: a writer for the bench harness's
-//! machine-readable output and a parser so tests (and downstream
-//! tooling) can round-trip it — no external dependencies.
+//! machine-readable output and a parser so tests and the serve row cache
+//! ([`crate::canon::document_from_rows`]) can read it back — no external
+//! dependencies.
 //!
 //! Only what the bench schema needs is supported: objects preserve
 //! insertion order, integers and floats are distinct variants (so `u64`
@@ -146,7 +147,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level, so an unbounded depth lets a corrupt row
-/// cache or gate file overflow the stack, which aborts the process
+/// cache file overflow the stack, which aborts the process
 /// rather than returning an error. silo-bench/v1 documents nest 6 deep.
 pub const MAX_DEPTH: usize = 128;
 
@@ -242,13 +243,18 @@ impl Parser<'_> {
                         b'r' => out.push(b'\r'),
                         b't' => out.push(b'\t'),
                         b'u' => {
-                            let hex = self
+                            // Exactly four hex digits, no sign.
+                            let code = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
+                                .and_then(|h| {
+                                    h.iter().try_fold(0, |code, &d| {
+                                        Some(code * 16 + char::from(d).to_digit(16)?)
+                                    })
+                                })
+                                .ok_or_else(|| {
+                                    format!("\\u needs four hex digits at byte {}", self.pos)
+                                })?;
                             self.pos += 4;
                             let ch = char::from_u32(code)
                                 .ok_or_else(|| "surrogate \\u escape unsupported".to_string())?;
@@ -263,20 +269,27 @@ impl Parser<'_> {
         }
     }
 
+    /// One number in the RFC 8259 grammar: `-? (0 | [1-9][0-9]*)
+    /// (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. Integers without a fraction or
+    /// exponent stay [`Json::Int`].
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b"-");
+        if !self.eat(b"0") && self.digits() == 0 {
+            return Err(format!("bad number at byte {start}"));
         }
         let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.eat(b".") {
+            is_float = true;
+            if self.digits() == 0 {
+                return Err(format!("no digit after '.' at byte {}", self.pos));
+            }
+        }
+        if self.eat(b"eE") {
+            is_float = true;
+            self.eat(b"+-");
+            if self.digits() == 0 {
+                return Err(format!("no digit in exponent at byte {}", self.pos));
             }
         }
         let text =
@@ -290,6 +303,22 @@ impl Parser<'_> {
                 .map(Json::Int)
                 .map_err(|_| format!("bad integer '{text}'"))
         }
+    }
+
+    /// Consumes the next byte if it is one of `any`.
+    fn eat(&mut self, any: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|c| any.contains(&c));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -413,6 +442,45 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+        // `\u` takes exactly four hex digits, and numbers follow the
+        // RFC 8259 grammar: no leading zero before a digit, a digit after
+        // '.' and in the exponent.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u041""#,
+            r#""\u00g1""#,
+            "01",
+            "-01",
+            "1.",
+            "-.5",
+            ".5",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
+            "+1",
+            "[01]",
+            "[1.]",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} parsed");
+        }
+    }
+
+    #[test]
+    fn accepts_every_rfc_8259_number_form() {
+        for (text, want) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("10", Json::Int(10)),
+            ("-0.5", Json::Num(-0.5)),
+            ("1e5", Json::Num(1e5)),
+            ("1E+5", Json::Num(1e5)),
+            ("2.5e-3", Json::Num(2.5e-3)),
+        ] {
+            assert_eq!(Json::parse(text), Ok(want), "{text}");
+        }
     }
 
     #[test]
@@ -431,7 +499,7 @@ mod tests {
 
     #[test]
     fn parses_whitespace_and_unicode_escapes() {
-        let v = Json::parse(" { \"k\" : \"\\u0041\\t\" } ").expect("parse");
-        assert_eq!(v.get("k").and_then(Json::as_str), Some("A\t"));
+        let v = Json::parse(" { \"k\" : \"\\u0041\\t\\u00E9\" } ").expect("parse");
+        assert_eq!(v.get("k").and_then(Json::as_str), Some("A\té"));
     }
 }

@@ -20,29 +20,6 @@ USAGE:
     silo-sim [OPTIONS]
     silo-sim trace-info FILE     inspect a .silotrace capture (header,
                                  provenance, record counts, checksum)
-    silo-sim bench [OPTIONS]     hot-loop throughput benchmark: time the
-                                 fixed matrix (every builtin system x
-                                 zipf-shared/uniform-private/pointer-chase,
-                                 8 cores, seed 42) and report refs/sec.
-                                 Options: --refs N (refs/core, default
-                                 20000), --threads N (default 1: on a
-                                 2-vCPU host, 2 worker threads contend
-                                 and roughly halve per-cell refs/sec),
-                                 --label S,
-                                 --json PATH (append a snapshot to a
-                                 silo-hotloop/v1 trajectory file),
-                                 --compare PATH (print refs/sec deltas vs
-                                 the file's last snapshot),
-                                 --gate PATH (noise-aware perf gate:
-                                 repeat the matrix --gate-reps times
-                                 (default 5), take the median refs/sec
-                                 per row, and classify each row and the
-                                 geomean as pass/noise/regress against
-                                 the file's last matching snapshot with
-                                 a tolerance derived from the observed
-                                 rep spread; exit 1 on regress),
-                                 --gate-json PATH (write the
-                                 silo-gate/v1 verdict)
     silo-sim serve [OPTIONS]     simulation-as-a-service daemon: accept
                                  scenario submissions over HTTP, fan
                                  sweep points across a worker pool, and
@@ -174,10 +151,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<(Cli, Scenari
                 print_trace_info(Path::new(&path))?;
                 return Ok(None);
             }
-            if arg == "bench" {
-                run_bench(args)?;
-                return Ok(None);
-            }
             if arg == "check" {
                 run_check(args)?;
                 return Ok(None);
@@ -302,185 +275,6 @@ fn print_trace_info(path: &Path) -> Result<(), ConfigError> {
     };
     println!("file size:    {bytes} bytes ({per_ref:.2} bytes/record)");
     println!("checksum:     OK");
-    Ok(())
-}
-
-/// `silo-sim bench`: runs the fixed hot-loop throughput matrix and
-/// reports refs/sec per (system, workload) cell. `--json` appends the
-/// run as a snapshot to a `silo-hotloop/v1` trajectory file
-/// (`BENCH_hotloop.json`); `--compare` prints per-cell deltas against
-/// the last snapshot of an existing trajectory.
-fn run_bench(mut args: impl Iterator<Item = String>) -> Result<(), ConfigError> {
-    use silo_sim::bench::gate;
-    use silo_sim::bench::throughput;
-
-    let mut refs: usize = 20_000;
-    // One worker by default: concurrent cells share the host's caches
-    // and memory bandwidth, which skews per-cell refs/sec (about half on
-    // a 2-vCPU host at 2 threads).
-    let mut threads = 1;
-    let mut label: Option<String> = None;
-    let mut json: Option<PathBuf> = None;
-    let mut compare: Option<PathBuf> = None;
-    let mut gate_base: Option<PathBuf> = None;
-    let mut gate_reps: usize = gate::DEFAULT_GATE_REPS;
-    let mut gate_json_out: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--refs" => refs = parse_value("--refs", args.next())?,
-            "--threads" => threads = parse_value("--threads", args.next())?,
-            "--label" => label = Some(parse_value("--label", args.next())?),
-            "--json" => json = Some(PathBuf::from(parse_value::<String>("--json", args.next())?)),
-            "--compare" => {
-                compare = Some(PathBuf::from(parse_value::<String>(
-                    "--compare",
-                    args.next(),
-                )?));
-            }
-            "--gate" => {
-                gate_base = Some(PathBuf::from(parse_value::<String>("--gate", args.next())?));
-            }
-            "--gate-reps" => gate_reps = parse_value("--gate-reps", args.next())?,
-            "--gate-json" => {
-                gate_json_out = Some(PathBuf::from(parse_value::<String>(
-                    "--gate-json",
-                    args.next(),
-                )?));
-            }
-            other => return Err(bad("bench argument", other, "unknown option")),
-        }
-    }
-    if refs == 0 {
-        return Err(bad("--refs", "0", "needs at least one reference per core"));
-    }
-    if gate_reps == 0 {
-        return Err(bad("--gate-reps", "0", "needs at least one repetition"));
-    }
-    let spec = throughput::ThroughputSpec::hotloop_matrix(refs);
-    println!(
-        "hot-loop bench: {} systems x {} workloads, {} cores, {} refs/core, seed {}, {} threads",
-        spec.systems.len(),
-        spec.workloads.len(),
-        spec.cores,
-        spec.refs_per_core,
-        spec.seed,
-        threads
-    );
-    let rows = throughput::run_throughput(&spec, threads);
-    println!(
-        "{:<16} {:<16} {:>10} {:>10} {:>14}",
-        "system", "workload", "refs", "wall(ms)", "refs/sec"
-    );
-    for r in &rows {
-        println!(
-            "{:<16} {:<16} {:>10} {:>10.1} {:>14.0}",
-            r.system,
-            r.workload,
-            r.refs,
-            r.wall_ms,
-            r.refs_per_sec()
-        );
-    }
-    println!(
-        "geomean {:.0} refs/sec",
-        throughput::geomean_refs_per_sec(&rows)
-    );
-    if let Some(path) = &compare {
-        let snapshots = throughput::load_snapshots(path)?;
-        match snapshots.last() {
-            None => println!("compare: {} has no snapshots", path.display()),
-            Some(reference) => {
-                let against = reference
-                    .get("label")
-                    .and_then(silo_sim::Json::as_str)
-                    .unwrap_or("?");
-                let (deltas, geo) = throughput::compare_rows(&rows, reference);
-                for d in &deltas {
-                    println!(
-                        "delta {:<16} {:<16} {:>14.0} vs {:>14.0} = {:.2}x",
-                        d.system, d.workload, d.now, d.then, d.ratio
-                    );
-                }
-                match geo {
-                    Some(g) => println!("geomean vs '{against}': {g:.2}x refs/sec"),
-                    None => println!("compare: no matching rows in '{against}'"),
-                }
-            }
-        }
-    }
-    if let Some(path) = &json {
-        let label = label.unwrap_or_else(|| format!("refs{refs}"));
-        let n = throughput::append_snapshot(path, throughput::snapshot_json(&label, &spec, &rows))?;
-        println!(
-            "appended snapshot '{label}' to {} ({n} total)",
-            path.display()
-        );
-    }
-    if let Some(base_path) = &gate_base {
-        let snapshots = throughput::load_snapshots(base_path)?;
-        let Some(base) = gate::select_snapshot(&snapshots, &spec) else {
-            return Err(bad(
-                "--gate",
-                base_path.display().to_string(),
-                format!(
-                    "no snapshot matches the matrix (cores {}, refs/core {}, seed {})",
-                    spec.cores, spec.refs_per_core, spec.seed
-                ),
-            ));
-        };
-        // The matrix above is repetition 1; the rest run back to back at
-        // whole-matrix granularity, so host noise lands across every
-        // row's sample instead of concentrating in one row.
-        let mut reps = vec![rows];
-        while reps.len() < gate_reps {
-            println!("gate repetition {}/{gate_reps}...", reps.len() + 1);
-            reps.push(throughput::run_throughput(&spec, threads));
-        }
-        let report = gate::evaluate(&reps, base, gate::DEFAULT_MIN_TOLERANCE);
-        println!();
-        println!(
-            "perf gate vs '{}' ({} reps, median per row, tolerance from observed spread, floor {:.0}%):",
-            report.base_label,
-            report.reps,
-            100.0 * report.min_tolerance
-        );
-        println!(
-            "{:<16} {:<16} {:>12} {:>12} {:>7} {:>7} {:>8}",
-            "system", "workload", "base r/s", "median r/s", "ratio", "tol", "verdict"
-        );
-        for r in &report.rows {
-            println!(
-                "{:<16} {:<16} {:>12.0} {:>12.0} {:>6.2}x {:>6.1}% {:>8}",
-                r.system,
-                r.workload,
-                r.base_rps,
-                r.median_rps,
-                r.ratio,
-                100.0 * r.tolerance,
-                r.verdict.as_str()
-            );
-        }
-        println!(
-            "geomean {:.2}x (tolerance {:.1}%): {}",
-            report.geomean_ratio,
-            100.0 * report.geomean_tolerance,
-            report.verdict.as_str()
-        );
-        if let Some(path) = &gate_json_out {
-            let doc = format!("{}\n", gate::gate_json(&report));
-            std::fs::write(path, doc).map_err(|e| {
-                bad(
-                    "--gate-json",
-                    path.display().to_string(),
-                    format!("cannot write: {e}"),
-                )
-            })?;
-            println!("wrote {} verdict to {}", gate::SCHEMA_GATE, path.display());
-        }
-        if report.regressed() {
-            std::process::exit(1);
-        }
-    }
     Ok(())
 }
 
