@@ -1,7 +1,8 @@
-//! Sparse set-associative cache array with pluggable replacement.
+//! Set-associative cache array with pluggable replacement.
 //!
 //! The array stores an arbitrary payload per resident line (coherence
-//! state, dirty bit, ...). Sets are allocated lazily in a hash map so that
+//! state, dirty bit, ...). Small arrays are flat slot arrays indexed by
+//! set; large ones allocate sets lazily in a hash map so that
 //! multi-hundred-MB caches cost memory proportional to the lines actually
 //! touched, which is what makes full-capacity vault simulation cheap.
 
@@ -54,13 +55,10 @@ const DENSE_MAX_LINES: u64 = 1 << 16;
 
 /// Backing store, specialized by geometry.
 ///
-/// * `Dense` — flat `sets * ways` slot array, set `s` at
-///   `[s*ways, (s+1)*ways)`. Used for small arrays (every probe on the
-///   simulated LLC path hits one of these, so this is the hot layout).
-///   Bit-compatible with the sparse layouts because recency stamps are
-///   globally unique, so the LRU victim is identified by stamp value
-///   alone, never by slot order; it is therefore not used for
-///   multi-way `Random` arrays, whose victim pick is order-sensitive.
+/// * `DenseDirect` / `Dense` — flat `sets * ways` slots with set `s` at
+///   `[s*ways, (s+1)*ways)`, for small arrays (every probe on the
+///   simulated LLC path hits one of these, so these are the hot
+///   layouts).
 /// * `Direct` — sparse direct-mapped (`ways == 1`, e.g. a full-scale
 ///   SILO vault, Sec. V-A): the single way inline in the map entry.
 /// * `Assoc` — sparse set-associative: lazily allocated way lists.
@@ -72,7 +70,21 @@ enum Table<P> {
     /// to half a `Way`. This is the layout of every scale-64 vault, the
     /// hottest array in a SILO run.
     DenseDirect(Box<[Option<(LineAddr, P)>]>),
-    Dense(Box<[Option<Way<P>>]>),
+    /// Multi-way LRU dense, struct of arrays, so a set's tag scan reads
+    /// one run of `u64`s. Slot `i` is empty when `stamps[i] == 0` (live
+    /// stamps start at 1), and then `payloads[i]` is `None` and
+    /// `tags[i]` is stale. Every operation is one pass over the set:
+    /// the fill pass looks for the line and, at once, the first minimum
+    /// stamp, which is the first empty slot if there is one and the LRU
+    /// way otherwise. Stamps are globally unique, so the victim is
+    /// fixed by stamp value alone and matches the sparse layouts'
+    /// choice. Not used for `Random` arrays, whose victim pick depends
+    /// on slot order.
+    Dense {
+        tags: Box<[LineAddr]>,
+        stamps: Box<[u64]>,
+        payloads: Box<[Option<P>]>,
+    },
     Direct(FxHashMap<u64, Way<P>>),
     Assoc(FxHashMap<u64, Vec<Way<P>>>),
 }
@@ -124,11 +136,13 @@ impl<P> SetAssocCache<P> {
                     .collect(),
             )
         } else if lines <= DENSE_MAX_LINES && policy == ReplacementPolicy::Lru {
-            Table::Dense(
-                std::iter::repeat_with(|| None)
+            Table::Dense {
+                tags: vec![LineAddr::new(0); lines as usize].into(),
+                stamps: vec![0; lines as usize].into(),
+                payloads: std::iter::repeat_with(|| None)
                     .take(lines as usize)
                     .collect(),
-            )
+            }
         } else if ways == 1 {
             Table::Direct(fx_map_with_capacity(buckets))
         } else {
@@ -203,7 +217,7 @@ impl<P> SetAssocCache<P> {
     pub fn len(&self) -> usize {
         match &self.table {
             Table::DenseDirect(slots) => slots.iter().filter(|s| s.is_some()).count(),
-            Table::Dense(slots) => slots.iter().filter(|s| s.is_some()).count(),
+            Table::Dense { stamps, .. } => stamps.iter().filter(|&&s| s != 0).count(),
             Table::Direct(m) => m.len(),
             Table::Assoc(m) => m.values().map(Vec::len).sum(),
         }
@@ -213,7 +227,7 @@ impl<P> SetAssocCache<P> {
     pub fn is_empty(&self) -> bool {
         match &self.table {
             Table::DenseDirect(slots) => slots.iter().all(Option::is_none),
-            Table::Dense(slots) => slots.iter().all(Option::is_none),
+            Table::Dense { stamps, .. } => stamps.iter().all(|&s| s == 0),
             Table::Direct(m) => m.is_empty(),
             Table::Assoc(m) => m.is_empty(),
         }
@@ -243,9 +257,11 @@ impl<P> SetAssocCache<P> {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
         {
             let set = self.set_of(line) as usize;
+            // A dense set hints its tag run only; hinting the stamps'
+            // line too measured slower.
             let ptr = match &self.table {
                 Table::DenseDirect(slots) => std::ptr::addr_of!(slots[set]).cast::<i8>(),
-                Table::Dense(slots) => std::ptr::addr_of!(slots[set * self.ways]).cast::<i8>(),
+                Table::Dense { tags, .. } => std::ptr::addr_of!(tags[set * self.ways]).cast::<i8>(),
                 Table::Direct(_) | Table::Assoc(_) => return,
             };
             // SAFETY: the slot index is in bounds by construction, and a
@@ -270,14 +286,14 @@ impl<P> SetAssocCache<P> {
                 Some((l, p)) if *l == line => Some(p),
                 _ => None,
             },
-            Table::Dense(slots) => slots[set as usize * ways_n..(set as usize + 1) * ways_n]
-                .iter_mut()
-                .filter_map(Option::as_mut)
-                .find(|w| w.line == line)
-                .map(|w| {
-                    w.stamp = tick;
-                    &mut w.payload
-                }),
+            Table::Dense {
+                tags,
+                stamps,
+                payloads,
+            } => dense_find(tags, stamps, set as usize * ways_n, ways_n, line).and_then(|i| {
+                stamps[i] = tick;
+                payloads[i].as_mut()
+            }),
             Table::Direct(m) => match m.get_mut(&set) {
                 Some(w) if w.line == line => {
                     w.stamp = tick;
@@ -309,11 +325,12 @@ impl<P> SetAssocCache<P> {
                 Some((l, p)) if *l == line => Some(p),
                 _ => None,
             },
-            Table::Dense(slots) => slots[set as usize * self.ways..(set as usize + 1) * self.ways]
-                .iter()
-                .filter_map(Option::as_ref)
-                .find(|w| w.line == line)
-                .map(|w| &w.payload),
+            Table::Dense {
+                tags,
+                stamps,
+                payloads,
+            } => dense_find(tags, stamps, set as usize * self.ways, self.ways, line)
+                .and_then(|i| payloads[i].as_ref()),
             Table::Direct(m) => match m.get(&set) {
                 Some(w) if w.line == line => Some(&w.payload),
                 _ => None,
@@ -334,11 +351,12 @@ impl<P> SetAssocCache<P> {
                 Some((l, p)) if *l == line => Some(p),
                 _ => None,
             },
-            Table::Dense(slots) => slots[set as usize * self.ways..(set as usize + 1) * self.ways]
-                .iter_mut()
-                .filter_map(Option::as_mut)
-                .find(|w| w.line == line)
-                .map(|w| &mut w.payload),
+            Table::Dense {
+                tags,
+                stamps,
+                payloads,
+            } => dense_find(tags, stamps, set as usize * self.ways, self.ways, line)
+                .and_then(|i| payloads[i].as_mut()),
             Table::Direct(m) => match m.get_mut(&set) {
                 Some(w) if w.line == line => Some(&mut w.payload),
                 _ => None,
@@ -387,38 +405,42 @@ impl<P> SetAssocCache<P> {
                     }
                 }
             }
-            Table::Dense(slots) => {
-                let new_way = Way {
-                    line,
+            Table::Dense {
+                tags,
+                stamps,
+                payloads,
+            } => {
+                let base = set as usize * ways_n;
+                let set_tags = &mut tags[base..base + ways_n];
+                let set_stamps = &mut stamps[base..base + ways_n];
+                // One pass: the line itself, else the first minimum
+                // stamp (an empty slot when there is one, else the LRU
+                // way; `Dense` is LRU-only, see `Table`).
+                let mut victim = 0;
+                let mut oldest = u64::MAX;
+                for i in 0..ways_n {
+                    let stamp = set_stamps[i];
+                    if set_tags[i] == line && stamp != 0 {
+                        set_stamps[i] = tick;
+                        payloads[base + i] = Some(payload);
+                        return None;
+                    }
+                    if stamp < oldest {
+                        victim = i;
+                        oldest = stamp;
+                    }
+                }
+                let old_line = std::mem::replace(&mut set_tags[victim], line);
+                let old_stamp = std::mem::replace(&mut set_stamps[victim], tick);
+                let old_payload = payloads[base + victim].replace(payload);
+                if old_stamp == 0 {
+                    return None;
+                }
+                old_payload.map(|payload| Way {
+                    line: old_line,
                     payload,
-                    stamp: tick,
-                };
-                let set_slots = &mut slots[set as usize * ways_n..(set as usize + 1) * ways_n];
-                if let Some(w) = set_slots
-                    .iter_mut()
-                    .filter_map(Option::as_mut)
-                    .find(|w| w.line == line)
-                {
-                    *w = new_way;
-                    return None;
-                }
-                if let Some(empty) = set_slots.iter_mut().find(|s| s.is_none()) {
-                    *empty = Some(new_way);
-                    return None;
-                }
-                // Set full: every slot resident.
-                let victim_idx = match self.policy {
-                    ReplacementPolicy::Lru => set_slots
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, w)| w.as_ref().expect("set is full").stamp)
-                        .map(|(i, _)| i)
-                        .expect("set is full, so non-empty"),
-                    // Dense + Random only exists direct-mapped (see
-                    // `Table` docs), where any index maps to slot 0.
-                    ReplacementPolicy::Random => (line.scramble() ^ tick) as usize % ways_n,
-                };
-                set_slots[victim_idx].replace(new_way)
+                    stamp: old_stamp,
+                })
             }
             Table::Direct(m) => {
                 let new_way = Way {
@@ -494,11 +516,16 @@ impl<P> SetAssocCache<P> {
                     None
                 }
             }
-            Table::Dense(slots) => slots[set as usize * self.ways..(set as usize + 1) * self.ways]
-                .iter_mut()
-                .find(|s| s.as_ref().is_some_and(|w| w.line == line))
-                .and_then(Option::take)
-                .map(|w| w.payload),
+            Table::Dense {
+                tags,
+                stamps,
+                payloads,
+            } => {
+                dense_find(tags, stamps, set as usize * self.ways, self.ways, line).and_then(|i| {
+                    stamps[i] = 0;
+                    payloads[i].take()
+                })
+            }
             Table::Direct(m) => {
                 if m.get(&set).is_some_and(|w| w.line == line) {
                     m.remove(&set).map(|w| w.payload)
@@ -523,18 +550,18 @@ impl<P> SetAssocCache<P> {
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &P)> {
         let (dense_direct, dense, direct, assoc) = match &self.table {
             Table::DenseDirect(s) => (Some(s), None, None, None),
-            Table::Dense(s) => (None, Some(s), None, None),
+            Table::Dense { tags, payloads, .. } => (None, Some((tags, payloads)), None, None),
             Table::Direct(m) => (None, None, Some(m), None),
             Table::Assoc(m) => (None, None, None, Some(m)),
         };
         dense_direct
             .into_iter()
             .flat_map(|s| s.iter().flatten().map(|(l, p)| (*l, p)))
-            .chain(
-                dense
-                    .into_iter()
-                    .flat_map(|s| s.iter().flatten().map(|w| (w.line, &w.payload))),
-            )
+            .chain(dense.into_iter().flat_map(|(tags, payloads)| {
+                tags.iter()
+                    .zip(payloads.iter())
+                    .filter_map(|(&l, p)| Some((l, p.as_ref()?)))
+            }))
             .chain(
                 direct
                     .into_iter()
@@ -573,13 +600,35 @@ impl<P> SetAssocCache<P> {
     pub fn clear(&mut self) {
         match &mut self.table {
             Table::DenseDirect(slots) => slots.iter_mut().for_each(|s| *s = None),
-            Table::Dense(slots) => slots.iter_mut().for_each(|s| *s = None),
+            Table::Dense {
+                stamps, payloads, ..
+            } => {
+                stamps.fill(0);
+                payloads.iter_mut().for_each(|p| *p = None);
+            }
             Table::Direct(m) => m.clear(),
             Table::Assoc(m) => m.clear(),
         }
         self.tick = 0;
         self.reset_stats();
     }
+}
+
+/// The slot of `line` in the dense set of `ways` slots at `base`, if
+/// resident: one pass over the set's tags, skipping empty slots.
+#[inline]
+fn dense_find(
+    tags: &[LineAddr],
+    stamps: &[u64],
+    base: usize,
+    ways: usize,
+    line: LineAddr,
+) -> Option<usize> {
+    let tags = &tags[base..base + ways];
+    let stamps = &stamps[base..base + ways];
+    (0..ways)
+        .find(|&i| tags[i] == line && stamps[i] != 0)
+        .map(|i| base + i)
 }
 
 #[cfg(test)]
@@ -791,6 +840,191 @@ mod tests {
         let mut lines: Vec<u64> = c.iter().map(|(l, _)| l.as_u64()).collect();
         lines.sort_unstable();
         assert_eq!(lines, vec![0, 2 * sets, 3 * sets, 4 * sets]);
+    }
+
+    /// The naive model [`SetAssocCache`] must agree with: per set, a
+    /// list of `(line, payload)` from least to most recently used.
+    struct Reference {
+        n_sets: u64,
+        sets: std::collections::BTreeMap<u64, Vec<(LineAddr, u32)>>,
+        ways: usize,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl Reference {
+        fn new(sets: u64, ways: usize) -> Self {
+            Reference {
+                n_sets: sets,
+                sets: Default::default(),
+                ways,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }
+        }
+
+        fn set(&mut self, line: LineAddr) -> &mut Vec<(LineAddr, u32)> {
+            self.sets.entry(line.as_u64() % self.n_sets).or_default()
+        }
+
+        fn position(&mut self, line: LineAddr) -> Option<usize> {
+            self.set(line).iter().position(|&(l, _)| l == line)
+        }
+
+        /// Moves the line to the most-recent end; returns its payload.
+        fn touch(&mut self, line: LineAddr) -> Option<&mut u32> {
+            let i = self.position(line)?;
+            let set = self.set(line);
+            let way = set.remove(i);
+            set.push(way);
+            set.last_mut().map(|(_, p)| p)
+        }
+
+        fn get(&mut self, line: LineAddr) -> Option<&mut u32> {
+            if self.position(line).is_some() {
+                self.hits += 1;
+                self.touch(line)
+            } else {
+                self.misses += 1;
+                None
+            }
+        }
+
+        fn peek_mut(&mut self, line: LineAddr) -> Option<&mut u32> {
+            let i = self.position(line)?;
+            self.set(line).get_mut(i).map(|(_, p)| p)
+        }
+
+        fn insert(&mut self, line: LineAddr, payload: u32) -> Option<EvictionVictim<u32>> {
+            if let Some(p) = self.touch(line) {
+                *p = payload;
+                return None;
+            }
+            let ways = self.ways;
+            let set = self.set(line);
+            let victim = (set.len() == ways).then(|| set.remove(0));
+            set.push((line, payload));
+            victim.map(|(line, payload)| {
+                self.evictions += 1;
+                EvictionVictim { line, payload }
+            })
+        }
+
+        fn invalidate(&mut self, line: LineAddr) -> Option<u32> {
+            let i = self.position(line)?;
+            Some(self.set(line).remove(i).1)
+        }
+
+        fn clear(&mut self) {
+            self.sets.clear();
+            self.hits = 0;
+            self.misses = 0;
+            self.evictions = 0;
+        }
+
+        fn contents(&self) -> Vec<(u64, u32)> {
+            let mut all: Vec<(u64, u32)> = self
+                .sets
+                .values()
+                .flatten()
+                .map(|&(l, p)| (l.as_u64(), p))
+                .collect();
+            all.sort_unstable();
+            all
+        }
+    }
+
+    /// Runs `ops` seeded random operations on `cache` and the reference
+    /// side by side, comparing every return value, the counters, `len`
+    /// and the contents after each one. Lines come from a few sets and
+    /// a few tags per set, so hits, conflicts and evictions all occur.
+    fn agree_with_reference(mut cache: SetAssocCache<u32>, seed: u64, ops: usize) {
+        let sets = cache.sets();
+        let mut model = Reference::new(sets, cache.ways());
+        let mut state = seed;
+        let mut rand = |n: u64| {
+            state += 1;
+            LineAddr::new(state).scramble() % n
+        };
+        let tags = cache.ways() as u64 + 3;
+        for step in 0..ops {
+            let line = LineAddr::new(rand(sets.min(5)) * 7 % sets + sets * rand(tags));
+            let payload = rand(1000) as u32;
+            let what = rand(100);
+            let ctx = format!("seed {seed} step {step} op {what} line {line:?}");
+            match what {
+                0..=29 => {
+                    let got = cache.get(line).map(|p| *p);
+                    assert_eq!(got, model.get(line).map(|p| *p), "get: {ctx}");
+                    if let (Some(p), Some(q)) = (cache.peek_mut(line), model.peek_mut(line)) {
+                        *p += 1;
+                        *q += 1;
+                    }
+                }
+                30..=39 => assert_eq!(cache.peek(line), model.peek_mut(line).map(|p| &*p)),
+                40..=49 => {
+                    let got = cache.peek_mut(line).map(|p| {
+                        *p = payload;
+                        payload
+                    });
+                    let want = model.peek_mut(line).map(|p| {
+                        *p = payload;
+                        payload
+                    });
+                    assert_eq!(got, want, "peek_mut: {ctx}");
+                }
+                50..=84 => assert_eq!(
+                    cache.insert(line, payload),
+                    model.insert(line, payload),
+                    "insert: {ctx}"
+                ),
+                85..=98 => assert_eq!(
+                    cache.invalidate(line),
+                    model.invalidate(line),
+                    "invalidate: {ctx}"
+                ),
+                _ => {
+                    cache.clear();
+                    model.clear();
+                }
+            }
+            assert_eq!(cache.hits(), model.hits, "hits: {ctx}");
+            assert_eq!(cache.misses(), model.misses, "misses: {ctx}");
+            assert_eq!(cache.evictions(), model.evictions, "evictions: {ctx}");
+            let mut contents: Vec<(u64, u32)> =
+                cache.iter().map(|(l, &p)| (l.as_u64(), p)).collect();
+            contents.sort_unstable();
+            assert_eq!(contents, model.contents(), "contents: {ctx}");
+            assert_eq!(cache.len(), contents.len(), "len: {ctx}");
+            assert_eq!(cache.is_empty(), contents.is_empty(), "is_empty: {ctx}");
+        }
+    }
+
+    #[test]
+    fn every_layout_agrees_with_a_naive_lru_reference() {
+        let layouts = [
+            ("DenseDirect", 8, 1),
+            ("Dense", 8, 2),
+            ("Dense", 4, 8),
+            ("Dense", 2, 16),
+            ("Direct", DENSE_MAX_LINES * 2, 1),
+            ("Assoc", DENSE_MAX_LINES / 2, 4),
+        ];
+        for (name, sets, ways) in layouts {
+            let make = || SetAssocCache::new(sets, ways, ReplacementPolicy::Lru);
+            let layout = match make().table {
+                Table::DenseDirect(_) => "DenseDirect",
+                Table::Dense { .. } => "Dense",
+                Table::Direct(_) => "Direct",
+                Table::Assoc(_) => "Assoc",
+            };
+            assert_eq!(layout, name, "{sets} sets x {ways} ways");
+            for seed in 0..8 {
+                agree_with_reference(make(), seed << 32, 3000);
+            }
+        }
     }
 
     #[test]

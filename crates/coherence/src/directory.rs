@@ -40,6 +40,22 @@ pub struct DirView {
     pub owner: Option<(usize, State)>,
 }
 
+impl DirView {
+    /// The state of `node` in this view: the owner's state for the
+    /// owner, S for any other holder, I otherwise. The same answer as
+    /// [`DuplicateTagDirectory::state_of`] at the time of the lookup.
+    #[inline]
+    pub fn state_of(&self, node: usize) -> State {
+        if self.mask >> node & 1 == 0 {
+            return State::I;
+        }
+        match self.owner {
+            Some((owner, state)) if owner == node => state,
+            _ => State::S,
+        }
+    }
+}
+
 /// [`Entry::owner`] encoding: no owner-like holder. Its node byte (255)
 /// matches no node id, so [`Entry::get`] needs no separate test for it.
 const NO_OWNER: u16 = u16::MAX;
@@ -389,6 +405,15 @@ mod tests {
         assert_eq!(v.mask, 0b0101);
         assert_eq!(v.owner, Some((2, State::O)));
         assert_eq!(d.lookups(), 2);
+        for n in 0..4 {
+            assert_eq!(v.state_of(n), d.state_of(LineAddr::new(1), n), "node {n}");
+        }
+        d.set_state(LineAddr::new(1), 2, State::S);
+        let v = d.lookup_view(LineAddr::new(1));
+        assert_eq!(
+            (v.state_of(0), v.state_of(2), v.state_of(3)),
+            (State::S, State::S, State::I)
+        );
     }
 
     #[test]

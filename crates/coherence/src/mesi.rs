@@ -107,7 +107,7 @@ impl SharedMesi {
     /// LLC bank (and mesh node) serving a line; same interleaving as the
     /// SILO directory homes so both systems see the same traffic spread.
     pub fn bank_of(&self, line: LineAddr) -> usize {
-        (line.scramble() % self.banks.len() as u64) as usize
+        silo_types::interleave(line.scramble(), self.banks.len())
     }
 
     /// Host-cache prefetch hint for an upcoming access by any core to
@@ -259,7 +259,7 @@ impl SharedMesi {
         // The requester can hold the line in the *other* L1 (an ifetch
         // probing the L1-I while the line sits in the L1-D): its own state
         // survives and no remote work is needed for reads.
-        let own = self.dir.state_of(line, core);
+        let own = view.state_of(core);
         let owner = view.owner.filter(|&(o, _)| o != core);
         let mask = view.mask & !(1u64 << core);
         let mut dir_ways = 1u32;

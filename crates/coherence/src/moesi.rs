@@ -110,7 +110,7 @@ impl PrivateMoesi {
 
     /// Directory home node of a line (address-interleaved, scrambled).
     pub fn home_of(&self, line: LineAddr) -> usize {
-        (line.scramble() % self.nodes.len() as u64) as usize
+        silo_types::interleave(line.scramble(), self.nodes.len())
     }
 
     /// Host-cache prefetch hint for an upcoming access by `core` to

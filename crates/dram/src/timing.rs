@@ -8,7 +8,7 @@
 //! paper, after BuMP) every access pays the full row cycle, so a single
 //! occupancy number per access is an accurate model.
 
-use silo_types::{Cycles, LineAddr};
+use silo_types::{interleave, Cycles, LineAddr};
 
 /// A single serially-occupied resource with next-free-time semantics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -97,21 +97,23 @@ impl BankArray {
     /// Bank index for a line (scrambled to decorrelate from allocation
     /// patterns).
     pub fn bank_of(&self, line: LineAddr) -> usize {
-        (line.scramble() % self.banks.len() as u64) as usize
+        interleave(line.scramble(), self.banks.len())
     }
 
     /// Performs an access for `line` arriving at `now`: reserves the
     /// owning bank and returns the completion time (including any queuing
     /// delay behind earlier accesses to the same bank).
     pub fn access(&mut self, now: Cycles, line: LineAddr) -> Cycles {
-        let bank = self.bank_of(line);
-        self.banks[bank].reserve(now, self.service)
+        self.access_scrambled(now, line.scramble(), self.service)
     }
 
-    /// Performs an access that occupies the bank for a non-default
-    /// duration (e.g. a multi-line directory update).
-    pub fn access_with_service(&mut self, now: Cycles, line: LineAddr, service: Cycles) -> Cycles {
-        let bank = self.bank_of(line);
+    /// [`BankArray::access`] for a line already passed through
+    /// [`LineAddr::scramble`], occupying the bank for `service` cycles
+    /// (more than [`BankArray::service`] for a multi-line directory
+    /// update). A caller pricing several reservations of one line
+    /// scrambles it once.
+    pub fn access_scrambled(&mut self, now: Cycles, scrambled: u64, service: Cycles) -> Cycles {
+        let bank = interleave(scrambled, self.banks.len());
         self.banks[bank].reserve(now, service)
     }
 
@@ -180,6 +182,22 @@ mod tests {
             seen.insert(arr.bank_of(LineAddr::new(i)));
         }
         assert!(seen.len() > 12, "only {} banks used", seen.len());
+    }
+
+    #[test]
+    fn bank_index_is_the_scrambled_line_modulo_the_bank_count() {
+        for n in [1, 3, 16, 20, 64] {
+            let mut arr = BankArray::new(n, Cycles(10));
+            for i in 0..500 {
+                let line = LineAddr::new(i * 977);
+                let bank = (line.scramble() % n as u64) as usize;
+                assert_eq!(arr.bank_of(line), bank, "{n} banks, line {i}");
+                // A pre-scrambled reservation lands on the same bank.
+                let before = arr.banks[bank].accesses();
+                arr.access_scrambled(Cycles(0), line.scramble(), Cycles(1));
+                assert_eq!(arr.banks[bank].accesses(), before + 1);
+            }
+        }
     }
 
     #[test]

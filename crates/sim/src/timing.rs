@@ -14,7 +14,7 @@ use silo_coherence::{AccessResult, Background, Step};
 use silo_dram::BankArray;
 use silo_noc::{Mesh, NodeId};
 use silo_obs::{Lap, LapProbe, NoProbe};
-use silo_types::{set_bits, Cycles, LineAddr};
+use silo_types::{set_bits, Cycles};
 
 /// Labels of the timing sub-phases [`TimingModel::charge_probed`] and
 /// the run loop's MSHR accounting attribute into, in bucket order.
@@ -140,10 +140,12 @@ impl TimingModel {
         r: &AccessResult,
         probe: &mut L,
     ) -> Cycles {
-        let line = r.line;
+        // Every bank reservation of the access is for the same line, so
+        // its bank-interleaving hash is computed once.
+        let scrambled = r.line.scramble();
         let mut t = now;
         for step in &r.steps {
-            t = self.charge_step(t, line, step);
+            t = self.charge_step(t, scrambled, step);
             let bucket = match step {
                 Step::Net { .. } | Step::Invalidations { .. } => TP_MESH,
                 _ => TP_BANK,
@@ -151,25 +153,29 @@ impl TimingModel {
             probe.lap(bucket);
         }
         for bg in &r.background {
-            self.reserve_background(t, line, bg);
+            self.reserve_background(t, scrambled, bg);
             probe.lap(TP_BANK);
         }
         t
     }
 
-    fn charge_step(&mut self, t: Cycles, line: LineAddr, step: &Step) -> Cycles {
+    fn charge_step(&mut self, t: Cycles, scrambled: u64, step: &Step) -> Cycles {
         match *step {
             Step::Net { from, to } => t + self.mesh.send(NodeId(from), NodeId(to)),
-            Step::VaultAccess { node } => self
-                .vaults
-                .get_mut(node)
-                .expect("vault step in a system without vaults")
-                .access(t, line),
-            Step::LlcBank { bank } => self
-                .llc
-                .get_mut(bank)
-                .expect("LLC step in a system without an LLC")
-                .access(t, line),
+            Step::VaultAccess { node } => {
+                let v = self
+                    .vaults
+                    .get_mut(node)
+                    .expect("vault step in a system without vaults");
+                v.access_scrambled(t, scrambled, v.service())
+            }
+            Step::LlcBank { bank } => {
+                let b = self
+                    .llc
+                    .get_mut(bank)
+                    .expect("LLC step in a system without an LLC");
+                b.access_scrambled(t, scrambled, b.service())
+            }
             Step::L1Probe { .. } => t + self.l1_probe,
             Step::Invalidations { home, mask } => {
                 // Parallel round: the farthest round trip plus one probe.
@@ -182,21 +188,24 @@ impl TimingModel {
                 t + worst + self.l1_probe
             }
             Step::DirCacheHit => t + self.l1_probe,
-            Step::Memory => self.memory.access(t, line),
+            Step::Memory => self
+                .memory
+                .access_scrambled(t, scrambled, self.memory.service()),
         }
     }
 
-    fn reserve_background(&mut self, t: Cycles, line: LineAddr, bg: &Background) {
+    fn reserve_background(&mut self, t: Cycles, scrambled: u64, bg: &Background) {
         match *bg {
             Background::VaultFill {
                 node,
                 dirty_writeback,
             } => {
                 if let Some(v) = self.vaults.get_mut(node) {
-                    v.access(t, line);
+                    v.access_scrambled(t, scrambled, v.service());
                 }
                 if dirty_writeback {
-                    self.memory.access(t, line);
+                    self.memory
+                        .access_scrambled(t, scrambled, self.memory.service());
                 }
             }
             Background::LlcFill {
@@ -204,10 +213,11 @@ impl TimingModel {
                 dirty_writeback,
             } => {
                 if let Some(b) = self.llc.get_mut(bank) {
-                    b.access(t, line);
+                    b.access_scrambled(t, scrambled, b.service());
                 }
                 if dirty_writeback {
-                    self.memory.access(t, line);
+                    self.memory
+                        .access_scrambled(t, scrambled, self.memory.service());
                 }
             }
             Background::DirUpdate { home, ways } => {
@@ -216,17 +226,18 @@ impl TimingModel {
                 // transition touches `ways` entries back to back.
                 if let Some(v) = self.vaults.get_mut(home) {
                     let service = self.vault_access * ways as u64;
-                    v.access_with_service(t, line, service);
+                    v.access_scrambled(t, scrambled, service);
                 } else if let Some(b) = self.llc.get_mut(home) {
                     let service = b.service() * ways as u64;
-                    b.access_with_service(t, line, service);
+                    b.access_scrambled(t, scrambled, service);
                 }
             }
             Background::L1Writeback { .. } => {
                 // Absorbed by the node's write port; no shared resource.
             }
             Background::MemoryWrite => {
-                self.memory.access(t, line);
+                self.memory
+                    .access_scrambled(t, scrambled, self.memory.service());
             }
         }
     }
@@ -236,6 +247,7 @@ impl TimingModel {
 mod tests {
     use super::*;
     use silo_coherence::ServedBy;
+    use silo_types::LineAddr;
 
     fn silo_model() -> TimingModel {
         TimingModel::silo(&SystemConfig::paper_16core())

@@ -541,13 +541,17 @@ impl WorkloadSpec {
     /// synthetic generator (bit-identical to
     /// [`WorkloadSpec::generate`]) for generator-backed specs, or a
     /// `.silotrace` file reader for `trace:file=` replay specs. Either
-    /// way, peak memory is O(cores), independent of trace length.
+    /// way, peak memory is O(cores), independent of trace length. A
+    /// replay spec first passes [`silo_trace::verify`] over the whole
+    /// file, so opening one reads the file once before the replay
+    /// reads it again.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError::Trace`] when a replay file cannot be
-    /// opened, has a malformed header, or was recorded with a core
-    /// count other than `cores`.
+    /// opened, fails verification (malformed header, corrupt records,
+    /// count or checksum mismatch), or was recorded with a core count
+    /// other than `cores`.
     pub fn source(
         &self,
         cores: usize,
@@ -561,12 +565,13 @@ impl WorkloadSpec {
             path: path.display().to_string(),
             message,
         };
-        // One streaming validation pass before replay: `TraceReader`
-        // itself trusts the stream (its per-record path cannot report
-        // errors), so verifying here keeps corrupt files from silently
-        // truncating runs that bypass the builder (`run` or
-        // `run_system` over a direct source() call). The builder
-        // verifies too, for typed errors at build time.
+        // A full `verify` pass before every replay, on top of the one
+        // the builder runs at build time: `TraceReader` trusts the
+        // stream (its per-record path cannot report errors), so this
+        // keeps corrupt files from silently truncating runs that bypass
+        // the builder (`run` or `run_system` over a direct source()
+        // call). It reads the whole file once more per run, at about
+        // the cost of the replay's own decode.
         silo_trace::verify(path).map_err(|e| trace_err(e.to_string()))?;
         let reader = TraceReader::open(path).map_err(|e| trace_err(e.to_string()))?;
         let recorded = reader.header().cores;

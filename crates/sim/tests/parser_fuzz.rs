@@ -1,15 +1,19 @@
 //! Deterministic fuzzing of the input parsers: seeded byte mutations of
 //! scenario documents fed to [`Scenario::parse`], random flag vectors
 //! built from the key table's spellings fed to [`Scenario::from_args`],
-//! and mutated `silo-bench/v1` documents plus generated trees fed to
-//! [`Json::parse`] (the row cache's reader). None may panic, each
-//! failure must be the parser's own error, whatever parses must build
-//! (or fail to build) without panicking either, and printed trees must
-//! parse back to themselves. Seeds are fixed, so a failure reproduces
-//! exactly.
+//! mutated `silo-bench/v1` documents plus generated trees fed to
+//! [`Json::parse`] (the row cache's reader), and mutated recorded
+//! `.silotrace` files fed to `silo_trace::verify_stream` and replayed
+//! through `TraceReader`. None may panic, each failure must be the
+//! parser's own error, whatever parses must build (or fail to build)
+//! without panicking either, and printed trees must parse back to
+//! themselves. Seeds are fixed, so a failure reproduces exactly.
 
 use silo_sim::scenario::{ValueKind, KEYS};
-use silo_sim::{ConfigError, Json, Rng, Scenario, Simulation};
+use silo_sim::{ConfigError, Json, Rng, Scenario, Simulation, WorkloadSpec};
+use silo_trace::{verify_stream, TraceError, TraceHeader, TraceReader, TraceSource, TraceWriter};
+use silo_types::{AccessKind, LineAddr, MemRef};
+use std::io::BufReader;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
@@ -277,5 +281,201 @@ fn generated_trees_round_trip_through_print_and_parse() {
         } else {
             assert!(parsed.is_err(), "depth {depth} parsed");
         }
+    }
+}
+
+/// Encodes per-core streams as a `.silotrace`, round-robin, the way the
+/// simulator records them.
+fn encode_trace(name: &str, traces: &[Vec<MemRef>]) -> Vec<u8> {
+    let header = TraceHeader {
+        cores: traces.len(),
+        refs_per_core: traces.iter().map(Vec::len).max().unwrap_or(0) as u64,
+        seed: 9,
+        name: name.into(),
+        provenance: "parser fuzz corpus".into(),
+    };
+    let mut w = TraceWriter::new(Vec::new(), &header).expect("writer");
+    for i in 0..header.refs_per_core as usize {
+        for (core, t) in traces.iter().enumerate() {
+            if let Some(&mr) = t.get(i) {
+                w.write(core, mr).expect("write");
+            }
+        }
+    }
+    w.finish().expect("finish")
+}
+
+/// Two recorded traces: a generated workload, and one whose records
+/// reach the longest encodings (two-byte tags at 20 cores, five-byte
+/// gaps, ten-byte line deltas).
+fn trace_corpus() -> Vec<Vec<u8>> {
+    let spec = WorkloadSpec {
+        refs_per_core: 150,
+        ..WorkloadSpec::parse("shared-mix").expect("preset")
+    };
+    let generated = encode_trace("shared-mix", &spec.generate(4, 64, 9));
+    let kinds = [AccessKind::IFetch, AccessKind::Read, AccessKind::Write];
+    let extreme: Vec<Vec<MemRef>> = (0..20u64)
+        .map(|core| {
+            (0..12u64)
+                .map(|i| MemRef {
+                    line: LineAddr::new(if i % 2 == 0 { core } else { core ^ 1 << 63 }),
+                    kind: kinds[(i % 3) as usize],
+                    gap_instructions: if i % 4 == 1 { u32::MAX } else { i as u32 },
+                    dependent: i % 5 == 0,
+                })
+                .collect()
+        })
+        .collect();
+    vec![generated, encode_trace("extreme", &extreme)]
+}
+
+/// Offsets of every record of a valid trace, then of the sentinel.
+fn record_starts(bytes: &[u8]) -> Vec<usize> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    // magic 8 + version 4 + cores 4 + refs_per_core 8 + seed 8 = 32.
+    let provenance = 36 + u32_at(32);
+    let mut at = provenance + 4 + u32_at(provenance);
+    let mut starts = Vec::new();
+    loop {
+        starts.push(at);
+        if bytes[at] == 0x06 {
+            return starts;
+        }
+        for _field in 0..3 {
+            while bytes[at] & 0x80 != 0 {
+                at += 1;
+            }
+            at += 1;
+        }
+    }
+}
+
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// Length of the varint at the front of `bytes`.
+fn varint_len(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .position(|b| b & 0x80 == 0)
+        .expect("terminated")
+        + 1
+}
+
+/// Verifies `bytes` and replays them round-robin, both through a read
+/// buffer of `capacity` bytes so that fields straddle buffer ends.
+/// Neither may panic; returns the verdict and the records replayed.
+fn check_trace(bytes: &[u8], capacity: usize) -> (Result<u64, TraceError>, u64) {
+    let verdict = catch_unwind(|| verify_stream(BufReader::with_capacity(capacity, bytes)))
+        .unwrap_or_else(|_| panic!("verify panicked on {bytes:02x?}"));
+    let replayed = catch_unwind(|| {
+        let Ok(mut r) = TraceReader::new(BufReader::with_capacity(capacity, bytes)) else {
+            return 0;
+        };
+        let cores = r.header().cores;
+        let mut live = vec![true; cores];
+        let mut n = 0;
+        while live.contains(&true) {
+            for (core, live) in live.iter_mut().enumerate() {
+                match r.next(core) {
+                    Some(_) => n += 1,
+                    None => *live = false,
+                }
+            }
+        }
+        n
+    })
+    .unwrap_or_else(|_| panic!("replay panicked on {bytes:02x?}"));
+    (verdict.map(|s| s.records), replayed)
+}
+
+#[test]
+fn mutated_traces_fail_with_typed_errors_never_panics() {
+    let corpus = trace_corpus();
+    let mut rng = Rng::new(0x5110_7ace);
+    for trace in &corpus {
+        let (verdict, replayed) = check_trace(trace, 8192);
+        assert_eq!(verdict, Ok(replayed), "the corpus verifies");
+        assert_eq!(replayed as usize, record_starts(trace).len() - 1);
+    }
+    let alphabet: &[u8] = b"\x00\x01\x06\x07\x7f\x80\x81\xfe\xff";
+    for round in 0..4_000 {
+        let trace = pick(&mut rng, &corpus);
+        let starts = record_starts(trace);
+        let records = starts.len() - 1;
+        let capacity = 1 + rng.below(64) as usize;
+        let i = rng.below(records as u64) as usize;
+        let (start, end) = (starts[i], starts[i + 1]);
+        let mut bad = trace.clone();
+        // Every targeted corruption damages record `i` (or, last, only
+        // the checksum): verify must reject it, and replay must stop
+        // after exactly the `i` records before it.
+        let stops_at = match round % 6 {
+            0 => {
+                // An overlong varint in place of one field: nine or more
+                // continuation bytes, then a tenth byte above 1.
+                let field = rng.below(3);
+                let mut at = start;
+                for _ in 0..field {
+                    at += varint_len(&bad[at..]);
+                }
+                let len = varint_len(&bad[at..]);
+                let mut long: Vec<u8> = (0..9).map(|_| 0x80 | rng.below(128) as u8).collect();
+                long.push(2 + rng.below(254) as u8);
+                long.extend((0..rng.below(4)).map(|_| rng.below(256) as u8));
+                bad.splice(at..at + len, long);
+                i
+            }
+            1 | 2 => {
+                // A reserved kind, or a core at or above the header's.
+                let cores = u64::from(bad[12]);
+                let tag = if round % 6 == 1 {
+                    rng.below(cores) << 3 | 3 << 1 | rng.below(2)
+                } else {
+                    (cores + rng.below(5000)) << 3 | rng.below(3) << 1 | rng.below(2)
+                };
+                let len = varint_len(&bad[start..]);
+                bad.splice(start..start + len, varint(tag));
+                i
+            }
+            3 => {
+                // Truncation inside the record (or its one-byte tag).
+                bad.truncate(start + 1 + rng.below((end - start - 1) as u64) as usize);
+                i
+            }
+            4 => {
+                let last = bad.len() - 1 - rng.below(8) as usize;
+                bad[last] ^= 1 << rng.below(8);
+                records
+            }
+            _ => {
+                // Untargeted edits: anything may happen but a panic, and
+                // a file that still verifies must replay in full.
+                let seeds = [trace.clone()];
+                let bad = mutate(&mut rng, trace, &seeds, alphabet);
+                let (verdict, replayed) = check_trace(&bad, capacity);
+                if let Ok(total) = verdict {
+                    assert_eq!(replayed, total, "round {round}: {bad:02x?}");
+                }
+                continue;
+            }
+        };
+        let (verdict, replayed) = check_trace(&bad, capacity);
+        assert!(
+            matches!(&verdict, Err(TraceError::Corrupt(m)) if !m.is_empty()),
+            "round {round}: corrupt trace verified as {verdict:?}"
+        );
+        assert_eq!(
+            replayed, stops_at as u64,
+            "round {round}: replay did not stop at the damaged record"
+        );
     }
 }

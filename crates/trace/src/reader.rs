@@ -1,10 +1,12 @@
 //! Streaming `.silotrace` reader, header inspection, and full-file
 //! validation.
 
-use crate::wire::{at_eof, read_array, read_u32, read_u64, read_varint, unzigzag, HashingReader};
+use crate::wire::{
+    at_eof, read_array, read_u32, read_u64, take_varint, unzigzag, HashingReader, Overflow,
+};
 use crate::writer::{kind_bits, kind_from_bits};
 use crate::{TraceError, TraceHeader, TraceSource, END_TAG, MAGIC, MAX_STRING_LEN, VERSION};
-use silo_types::{LineAddr, MemRef};
+use silo_types::{AccessKind, LineAddr, MemRef};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
@@ -80,8 +82,13 @@ pub struct TraceSummary {
 
 /// Validates an entire trace in one streaming pass — header, every
 /// record tag, footer count, and FNV-1a checksum — with memory bounded
-/// by the read buffer. The builder runs this on every `trace:file=`
-/// workload, so replay itself can stream without re-validating.
+/// by the read buffer. Replay does not skip it: the simulator's builder
+/// runs it on every `trace:file=` workload for a typed error at build
+/// time, and `silo_sim::WorkloadSpec::source` runs it again before
+/// every replay it opens, so each replayed run reads the file twice.
+/// The pass decodes records in place in the read buffer and hashes
+/// whole consumed slices, so it costs about as much as the replay's
+/// own decode.
 ///
 /// # Errors
 ///
@@ -105,20 +112,10 @@ pub fn verify_stream<R: BufRead>(inner: R) -> Result<TraceSummary, TraceError> {
     let mut per_core = vec![0u64; header.cores];
     let mut kinds = [0u64; 3];
     let mut dependent = 0u64;
-    loop {
-        let tag = read_varint(&mut r)?;
-        if tag == END_TAG {
-            break;
-        }
-        let (core, kind) = split_tag(tag, header.cores)?;
-        let gap = read_varint(&mut r)?;
-        if gap > u32::MAX as u64 {
-            return Err(TraceError::Corrupt(format!("gap {gap} overflows u32")));
-        }
-        read_varint(&mut r)?; // line delta: any 64-bit value is valid
-        per_core[core] += 1;
-        kinds[kind_bits(kind) as usize] += 1;
-        dependent += tag & 1;
+    while let Some(rec) = read_raw_record(&mut r, header.cores)? {
+        per_core[rec.core] += 1;
+        kinds[kind_bits(rec.kind) as usize] += 1;
+        dependent += u64::from(rec.dependent);
     }
     let count = read_u64(&mut r)?;
     let records: u64 = per_core.iter().sum();
@@ -149,16 +146,134 @@ pub fn verify_stream<R: BufRead>(inner: R) -> Result<TraceSummary, TraceError> {
     })
 }
 
-fn split_tag(tag: u64, cores: usize) -> Result<(usize, silo_types::AccessKind), TraceError> {
-    let kind = kind_from_bits((tag >> 1) & 0b11)
-        .ok_or_else(|| TraceError::Corrupt(format!("reserved kind in record tag {tag:#x}")))?;
-    let core = (tag >> 3) as usize;
-    if core >= cores {
-        return Err(TraceError::Corrupt(format!(
-            "record for core {core} in a {cores}-core trace"
-        )));
+/// A format violation [`decode_record`] found, kept small so the
+/// decoder's hot path returns in registers; [`Fault::into_error`]
+/// spells it out only when it is reported.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    Overflow,
+    ReservedKind { tag: u64 },
+    Core { core: u64 },
+    Gap { gap: u64 },
+}
+
+impl From<Overflow> for Fault {
+    fn from(_: Overflow) -> Self {
+        Fault::Overflow
     }
-    Ok((core, kind))
+}
+
+impl Fault {
+    #[cold]
+    fn into_error(self, cores: usize) -> TraceError {
+        TraceError::Corrupt(match self {
+            Fault::Overflow => "varint overflows 64 bits".to_string(),
+            Fault::ReservedKind { tag } => format!("reserved kind in record tag {tag:#x}"),
+            Fault::Core { core } => format!("record for core {core} in a {cores}-core trace"),
+            Fault::Gap { gap } => format!("gap {gap} overflows u32"),
+        })
+    }
+}
+
+/// The longest record on the wire: three varints of at most ten bytes.
+const MAX_RECORD_BYTES: usize = 30;
+
+/// One record as the wire carries it, before the per-core line delta
+/// is applied.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RawRecord {
+    core: usize,
+    kind: AccessKind,
+    dependent: bool,
+    gap: u32,
+    delta: i64,
+}
+
+/// What [`decode_record`] found at the front of a byte slice.
+enum Decoded {
+    /// A record of the given encoded length.
+    Record(RawRecord, usize),
+    /// The end-of-records sentinel, of the given encoded length.
+    End(usize),
+    /// The slice ends inside the record.
+    Short,
+}
+
+/// Decodes the record or sentinel at the front of `bytes`, checking
+/// tag, core and gap in wire order, so an error is the one a byte-wise
+/// read would meet first.
+#[inline]
+fn decode_record(bytes: &[u8], cores: usize) -> Result<Decoded, Fault> {
+    let mut pos = 0;
+    let Some(tag) = take_varint(bytes, &mut pos)? else {
+        return Ok(Decoded::Short);
+    };
+    if tag == END_TAG {
+        return Ok(Decoded::End(pos));
+    }
+    let kind = kind_from_bits((tag >> 1) & 0b11).ok_or(Fault::ReservedKind { tag })?;
+    let core = tag >> 3;
+    if core >= cores as u64 {
+        return Err(Fault::Core { core });
+    }
+    let Some(gap) = take_varint(bytes, &mut pos)? else {
+        return Ok(Decoded::Short);
+    };
+    let gap = u32::try_from(gap).map_err(|_| Fault::Gap { gap })?;
+    let Some(delta) = take_varint(bytes, &mut pos)? else {
+        return Ok(Decoded::Short);
+    };
+    let rec = RawRecord {
+        core: core as usize,
+        kind,
+        dependent: tag & 1 == 1,
+        gap,
+        delta: unzigzag(delta),
+    };
+    Ok(Decoded::Record(rec, pos))
+}
+
+/// Reads the next record from `r`, or `None` at the sentinel, and
+/// consumes exactly its bytes. This is the one record decoder: replay
+/// and [`verify_stream`] both read through it. A record that lies whole
+/// in `r`'s buffer is decoded there in place; one that straddles the
+/// buffer's end is gathered into a [`MAX_RECORD_BYTES`] stack copy.
+fn read_raw_record<R: BufRead>(r: &mut R, cores: usize) -> Result<Option<RawRecord>, TraceError> {
+    let fault = |f: Fault| f.into_error(cores);
+    match decode_record(r.fill_buf()?, cores).map_err(fault)? {
+        Decoded::Record(rec, len) => {
+            r.consume(len);
+            return Ok(Some(rec));
+        }
+        Decoded::End(len) => {
+            r.consume(len);
+            return Ok(None);
+        }
+        Decoded::Short => {}
+    }
+    let mut gathered = [0u8; MAX_RECORD_BYTES];
+    let mut have = 0;
+    loop {
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            return Err(TraceError::Corrupt("unexpected end of file".into()));
+        }
+        // A whole record fits in `MAX_RECORD_BYTES`, so `take` stays
+        // positive until the decode below stops being short.
+        let take = buf.len().min(MAX_RECORD_BYTES - have);
+        gathered[have..have + take].copy_from_slice(&buf[..take]);
+        let (rec, len) = match decode_record(&gathered[..have + take], cores).map_err(fault)? {
+            Decoded::Record(rec, len) => (Some(rec), len),
+            Decoded::End(len) => (None, len),
+            Decoded::Short => {
+                r.consume(take);
+                have += take;
+                continue;
+            }
+        };
+        r.consume(len - have);
+        return Ok(rec);
+    }
 }
 
 /// A streaming [`TraceSource`] over a `.silotrace` byte stream.
@@ -172,9 +287,9 @@ fn split_tag(tag: u64, cores: usize) -> Result<(usize, silo_types::AccessKind), 
 /// length.
 ///
 /// `open` validates only the header. Run [`verify`] first (the
-/// simulation builder does) to reject corrupt files up front; a decode
-/// anomaly mid-replay ends the affected streams early instead of
-/// panicking.
+/// simulator does, before every replay) to reject corrupt files up
+/// front; a decode anomaly mid-replay ends the affected streams early
+/// instead of panicking.
 #[derive(Debug)]
 pub struct TraceReader<R = BufReader<std::fs::File>> {
     input: R,
@@ -237,26 +352,19 @@ impl<R: BufRead> TraceReader<R> {
         if self.finished {
             return Ok(None);
         }
-        let tag = read_varint(&mut self.input)?;
-        if tag == END_TAG {
+        let Some(rec) = read_raw_record(&mut self.input, self.header.cores)? else {
             self.finished = true;
             return Ok(None);
-        }
-        let (core, kind) = split_tag(tag, self.header.cores)?;
-        let gap = read_varint(&mut self.input)?;
-        if gap > u32::MAX as u64 {
-            return Err(TraceError::Corrupt(format!("gap {gap} overflows u32")));
-        }
-        let delta = unzigzag(read_varint(&mut self.input)?);
-        let line = self.last_line[core].wrapping_add(delta as u64);
-        self.last_line[core] = line;
+        };
+        let line = self.last_line[rec.core].wrapping_add(rec.delta as u64);
+        self.last_line[rec.core] = line;
         Ok(Some((
-            core,
+            rec.core,
             MemRef {
                 line: LineAddr::new(line),
-                kind,
-                gap_instructions: gap as u32,
-                dependent: tag & 1 == 1,
+                kind: rec.kind,
+                gap_instructions: rec.gap,
+                dependent: rec.dependent,
             },
         )))
     }
@@ -486,6 +594,46 @@ mod tests {
         let mut w = TraceWriter::new(Vec::new(), &header).expect("writer");
         w.write(0, MemRef::read(LineAddr::new(5))).expect("write");
         drop(w);
+    }
+
+    #[test]
+    fn every_read_buffer_size_decodes_the_same_records() {
+        // Long encodings on purpose: two-byte tags (20 cores), five-byte
+        // gaps, ten-byte line deltas (jumps of 2^63), so records of up
+        // to 17 bytes straddle every buffer end.
+        let traces: Vec<Vec<MemRef>> = (0..20u64)
+            .map(|core| {
+                (0..9u64)
+                    .map(|i| MemRef {
+                        line: LineAddr::new(if i % 2 == 0 { core + i } else { 1 << 63 }),
+                        kind: [AccessKind::IFetch, AccessKind::Read, AccessKind::Write]
+                            [(i % 3) as usize],
+                        gap_instructions: if i % 3 == 1 { u32::MAX } else { i as u32 },
+                        dependent: i % 2 == 1,
+                    })
+                    .collect()
+            })
+            .collect();
+        let bytes = encode(&sample_header(20), &traces);
+        fn replay<R: BufRead>(r: &mut TraceReader<R>) -> Vec<MemRef> {
+            let mut out = Vec::new();
+            for _ in 0..9 {
+                for core in 0..20 {
+                    out.extend(r.next(core));
+                }
+            }
+            out
+        }
+        let want = replay(&mut TraceReader::new(BufReader::new(&bytes[..])).expect("reader"));
+        assert_eq!(want.len(), 180);
+        let summary = verify_stream(BufReader::new(&bytes[..])).expect("valid");
+        for k in 1..=40 {
+            let mut r = TraceReader::new(BufReader::with_capacity(k, &bytes[..])).expect("reader");
+            assert_eq!(replay(&mut r), want, "replay, {k}-byte buffer");
+            assert_eq!(r.next(0), None, "{k}-byte buffer: stream ends");
+            let got = verify_stream(BufReader::with_capacity(k, &bytes[..]));
+            assert_eq!(got.as_ref(), Ok(&summary), "verify, {k}-byte buffer");
+        }
     }
 
     #[test]

@@ -53,7 +53,9 @@ pub(crate) fn unzigzag(v: u64) -> i64 {
 }
 
 /// A reader wrapper that hashes every byte it yields, so validation
-/// passes compute the checksum while streaming.
+/// passes compute the checksum while streaming. Bytes leave through
+/// [`Read::read`] or through [`BufRead::consume`], which hashes the
+/// consumed front of the buffer as one slice.
 pub(crate) struct HashingReader<R> {
     inner: R,
     hash: Fnv,
@@ -86,6 +88,24 @@ impl<R: Read> Read for HashingReader<R> {
     }
 }
 
+impl<R: BufRead> BufRead for HashingReader<R> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        self.inner.fill_buf()
+    }
+
+    fn consume(&mut self, amt: usize) {
+        // The caller consumes from the buffer its last `fill_buf`
+        // returned, so a second `fill_buf` hands back the same bytes
+        // without reading (and with `amt > 0` it is not empty).
+        if amt > 0 {
+            if let Ok(buf) = self.inner.fill_buf() {
+                self.hash.update(&buf[..amt.min(buf.len())]);
+            }
+        }
+        self.inner.consume(amt);
+    }
+}
+
 /// Reads exactly `N` bytes.
 pub(crate) fn read_array<R: Read, const N: usize>(r: &mut R) -> Result<[u8; N], TraceError> {
     let mut buf = [0u8; N];
@@ -103,22 +123,31 @@ pub(crate) fn read_u64<R: Read>(r: &mut R) -> Result<u64, TraceError> {
     Ok(u64::from_le_bytes(read_array(r)?))
 }
 
-/// Reads one LEB128 varint.
-pub(crate) fn read_varint<R: Read>(r: &mut R) -> Result<u64, TraceError> {
+/// A varint whose value does not fit in 64 bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Overflow;
+
+/// Decodes one LEB128 varint from `bytes` at `*pos`, advancing `*pos`
+/// past the bytes it reads. `Ok(None)` means `bytes` ended before the
+/// varint did. A tenth byte above 1 is an [`Overflow`]: it carries bits
+/// past 64, or a continuation to an eleventh byte, so no varint is
+/// longer than ten bytes.
+#[inline]
+pub(crate) fn take_varint(bytes: &[u8], pos: &mut usize) -> Result<Option<u64>, Overflow> {
     let mut v = 0u64;
     let mut shift = 0u32;
-    loop {
-        let byte = read_array::<_, 1>(r)?[0];
-        let payload = (byte & 0x7f) as u64;
-        if shift >= 64 || (shift == 63 && payload > 1) {
-            return Err(TraceError::Corrupt("varint overflows 64 bits".into()));
+    while let Some(&byte) = bytes.get(*pos) {
+        *pos += 1;
+        if shift == 63 && byte > 1 {
+            return Err(Overflow);
         }
-        v |= payload << shift;
+        v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
-            return Ok(v);
+            return Ok(Some(v));
         }
         shift += 7;
     }
+    Ok(None)
 }
 
 /// True when the stream has no more bytes (used to reject trailing
@@ -149,21 +178,34 @@ mod tests {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert!(buf.len() <= 10);
-            let mut cur = Cursor::new(buf);
-            assert_eq!(read_varint(&mut cur).expect("decodes"), v);
+            let mut pos = 0;
+            assert_eq!(take_varint(&buf, &mut pos).expect("decodes"), Some(v));
+            assert_eq!(pos, buf.len(), "consumes exactly the varint");
+            // Every proper prefix is short, not an error.
+            for cut in 0..buf.len() {
+                let mut pos = 0;
+                assert_eq!(take_varint(&buf[..cut], &mut pos).expect("short"), None);
+            }
         }
     }
 
     #[test]
     fn overlong_varints_are_rejected() {
-        // Eleven continuation bytes cannot fit in 64 bits.
-        let mut cur = Cursor::new(vec![0x80u8; 11]);
-        assert!(matches!(read_varint(&mut cur), Err(TraceError::Corrupt(_))));
-        // Ten bytes whose top payload exceeds the final two bits.
+        // A tenth byte that continues cannot fit in 64 bits; the error
+        // comes at that byte, before an eleventh is needed.
+        let mut pos = 0;
+        let bytes = [0x80u8; 10];
+        assert_eq!(take_varint(&bytes, &mut pos), Err(Overflow));
+        assert_eq!(pos, 10);
+        // Ten bytes whose top payload exceeds the final bit.
         let mut bytes = vec![0xffu8; 9];
-        bytes.push(0x7f);
-        let mut cur = Cursor::new(bytes);
-        assert!(matches!(read_varint(&mut cur), Err(TraceError::Corrupt(_))));
+        bytes.push(0x02);
+        assert_eq!(take_varint(&bytes, &mut 0), Err(Overflow));
+        // A non-canonical (zero-padded) ten-byte varint still decodes.
+        let mut bytes = vec![0x81u8];
+        bytes.extend([0x80u8; 8]);
+        bytes.push(0x00);
+        assert_eq!(take_varint(&bytes, &mut 0).expect("decodes"), Some(1));
     }
 
     #[test]
@@ -199,6 +241,23 @@ mod tests {
         hr.read_to_end(&mut out).expect("reads");
         let mut direct = Fnv::new();
         direct.update(&data);
+        assert_eq!(hr.digest(), direct.digest());
+    }
+
+    #[test]
+    fn hashing_reader_hashes_consumed_slices_like_reads() {
+        let data = b"0123456789".to_vec();
+        let mut direct = Fnv::new();
+        direct.update(&data);
+        // Consume through a 3-byte buffer in uneven steps, with an empty
+        // consume between, then read the tail.
+        let mut hr = HashingReader::new(std::io::BufReader::with_capacity(3, Cursor::new(data)));
+        for step in [2, 0, 1, 3, 1] {
+            let have = hr.fill_buf().expect("fills").len();
+            hr.consume(step.min(have));
+        }
+        let mut rest = Vec::new();
+        hr.read_to_end(&mut rest).expect("reads");
         assert_eq!(hr.digest(), direct.digest());
     }
 }

@@ -39,6 +39,30 @@ pub const LINE_SIZE: usize = 64;
 /// log2 of [`LINE_SIZE`].
 pub const LINE_SHIFT: u32 = 6;
 
+/// `hash % n`: the index of one of `n` banks or home nodes for a
+/// scrambled line address ([`LineAddr::scramble`]). A power-of-two `n`
+/// (the 16- and 64-node meshes) takes a mask, which gives the same index
+/// without a division.
+///
+/// ```
+/// assert_eq!(silo_types::interleave(0xdead_beef, 16), 0xdead_beef % 16);
+/// assert_eq!(silo_types::interleave(0xdead_beef, 20), 0xdead_beef % 20);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `n` is zero.
+#[inline]
+pub fn interleave(hash: u64, n: usize) -> usize {
+    let n = n as u64;
+    let index = if n.is_power_of_two() {
+        hash & (n - 1)
+    } else {
+        hash % n
+    };
+    index as usize
+}
+
 /// Iterates the positions of the set bits of `mask`, lowest first: the
 /// node ids of a sharer mask, without visiting the clear ones.
 ///
